@@ -22,6 +22,7 @@ Submodules:
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
+    CrossCheckMismatch,
     DeltaOutOfRange,
     DivisionByZeroEfficiency,
     EmptyIntersection,
@@ -47,6 +48,7 @@ from .model import (
     ModelMetrics,
     Outcome,
     all_click,
+    check_output_alphabet,
     detection_efficiency,
     error_probability,
     evaluate_mixed_lhv,
@@ -117,10 +119,13 @@ from .cyclic import (
     verify_size2_sets,
 )
 from .search import (
+    DetectorColumns,
     SearchReport,
     TradeoffRow,
     TradeoffTable,
     best_deterministic_error,
+    detector_columns,
+    eta_star_from_columns,
     eta_star_lp,
     model_respects_rectangle_bound,
     tradeoff_table,

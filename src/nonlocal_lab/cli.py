@@ -2,28 +2,35 @@
 reports.
 
 Subcommands: quantum, lhv-eval, search, rect-scan, addition, tradeoff,
-protocol-run. Reports are JSON on stdout by default (CSV via ``--format
-csv``); the exit code is 0 exactly when every verification the run requested
-passed. Every randomized run records its seed, and replaying the same
-configuration is bit-identical.
+protocol-run. Reports are one-line JSON on stdout by default (CSV via
+``--format csv``); the exit code is 0 exactly when every verification the
+run requested passed. Every randomized run records its seed, and replaying
+the same configuration is bit-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
+import json
 import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import cyclic, ghz, model, protocol, rectangles, search, serialize
-from .errors import BudgetExceeded, EmptyIntersection, NonlocalLabError
+from .errors import (
+    BudgetExceeded,
+    CrossCheckMismatch,
+    EmptyIntersection,
+    InvalidInput,
+    NonlocalLabError,
+)
 
 ENV_BUDGET = "NONLOCAL_LAB_BUDGET"
 DEFAULT_BUDGET = 10**7
@@ -44,11 +51,14 @@ def _jsonify(obj: Any) -> Any:
 
 
 def _fraction_arg(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc  # argparse turns it into a usage error
 
 
 def _grid_arg(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
+    return [_fraction_arg(part) for part in text.split(",") if part]
 
 
 def _int_grid_arg(text: str) -> list[int]:
@@ -62,11 +72,24 @@ def _decimal(value: Any) -> Any:
     return value
 
 
-def _parallel_map(fn, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _load_json(path: str, decode: Callable[[Any], Any]) -> Any:
+    """Read and decode one input file; a file that cannot be read, is not
+    JSON or does not match the codec is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidInput(f"{path} is not JSON: {exc}") from exc
+    try:
+        return decode(payload)
+    except NonlocalLabError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(
+            f"{path} does not match the expected schema: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -119,12 +142,10 @@ def _quantum_csv(report: dict) -> str:
 
 
 def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        import json
-
-        mixed = serialize.mixed_lhv_from_json(json.load(fh))
+    mixed = _load_json(args.model, serialize.mixed_lhv_from_json)
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     problem = ghz.ghz_problem(inst, cap=args.budget)
+    model.check_output_alphabet((lhv for lhv, _ in mixed.components), problem.l)
     metrics = model.mixed_lhv_metrics(mixed, problem)
     report = {
         "command": "lhv-eval",
@@ -168,13 +189,11 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
             "optimum": det.optimum,
             "enumerated": det.enumerated,
             "witness": serialize.lhv_to_json(det.witness),
-            "wall_time": det.wall_time,
         },
         "eta_star_lp": {
             "optimum": lp.optimum,
             "enumerated": lp.enumerated,
             "witness": serialize.mixed_lhv_to_json(lp.witness) if lp.witness else None,
-            "wall_time": lp.wall_time,
         },
         "witnesses_recheck": ok,
         "passed": ok,
@@ -185,12 +204,10 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     rng = random.Random(args.seed)
-    # sub-seeds drawn up front so thread scheduling cannot reorder the draws
-    jobs = [(delta, rng.randrange(2**63)) for delta in args.delta_grid]
-
-    def run(job: tuple[Fraction, int]) -> rectangles.ScanResult:
-        delta, seed = job
-        return rectangles.scan_rectangles(
+    # one sub-seed per threshold, so each scan's draws depend only on its own
+    seeds = [rng.randrange(2**63) for _ in args.delta_grid]
+    scans = [
+        rectangles.scan_rectangles(
             inst,
             delta,
             budget=args.budget,
@@ -198,8 +215,8 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
             samples=args.samples,
             rng=random.Random(seed),
         )
-
-    scans = _parallel_map(run, jobs, args.threads)
+        for delta, seed in zip(args.delta_grid, seeds)
+    ]
 
     relation_checked = 0
     relation_ok = True
@@ -358,18 +375,21 @@ def _tradeoff_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
-    import json
-
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _protocol_from_json(payload: Any) -> protocol.MixedProtocol:
     if "components" in payload:
-        mixed = serialize.mixed_protocol_from_json(payload)
-    else:
-        tree = serialize.tree_from_json(payload)
-        mixed = protocol.MixedProtocol(components=((tree, Fraction(1)),))
+        return serialize.mixed_protocol_from_json(payload)
+    tree = serialize.tree_from_json(payload)
+    return protocol.MixedProtocol(components=((tree, Fraction(1)),))
+
+
+def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
+    mixed = _load_json(args.tree, _protocol_from_json)
     for tree, _ in mixed.components:
         tree.validate_partitions()
+    model.check_output_alphabet(
+        (leaf.lhv for tree, _ in mixed.components for leaf in tree.leaves()),
+        ghz.OUTPUTS,
+    )
     costs = [protocol.cost_details(t) for t, _ in mixed.components]
     c = protocol.mixed_cost(mixed)
     report: dict[str, Any] = {
@@ -382,7 +402,10 @@ def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
     }
     passed = True
     if args.input:
-        x = tuple(int(v) for v in args.input.split(","))
+        try:
+            x = tuple(int(v) for v in args.input.split(","))
+        except ValueError as exc:
+            raise InvalidInput(f"--input must be comma-separated ints: {exc}") from exc
         runs = []
         for t, w in mixed.components:
             leaf_id, outcome = protocol.execute(t, x)
@@ -447,7 +470,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         renderer = _CSV_RENDERERS.get(report["command"], _key_value_csv)
         text = renderer(report)
     else:
-        text = serialize.dumps(_jsonify(report), indent=2) + "\n"
+        text = serialize.dumps(_jsonify(report)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -468,7 +491,6 @@ def _add_common(p: argparse.ArgumentParser, need_nk: bool = True) -> None:
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
-    p.add_argument("--threads", type=int, default=1, help="worker parallelism cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rect-scan", help="rectangle weight caps per advantage threshold")
     _add_common(p)
-    p.add_argument("--delta-grid", type=_grid_arg, default=_grid_arg("1/2,3/4,7/8"))
+    p.add_argument("--delta-grid", type=_grid_arg, default="1/2,3/4,7/8")
     p.add_argument("--mode", choices=("canonical", "lattice", "sample"), default="canonical")
     p.add_argument("--samples", type=int, default=10000)
     p.set_defaults(fn=cmd_rect_scan)
@@ -514,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tradeoff", help="achievable vs bound efficiency table")
     _add_common(p)
     p.add_argument("--c-grid", type=_int_grid_arg, default=None)
-    p.add_argument("--eps-grid", type=_grid_arg, default=_grid_arg("0,1/10,1/4"))
-    p.add_argument("--delta-grid", type=_grid_arg, default=_grid_arg("1/2,3/4,7/8"))
+    p.add_argument("--eps-grid", type=_grid_arg, default="0,1/10,1/4")
+    p.add_argument("--delta-grid", type=_grid_arg, default="1/2,3/4,7/8")
     p.set_defaults(fn=cmd_tradeoff)
 
     p = sub.add_parser("protocol-run", help="run or evaluate a protocol tree file")
@@ -528,9 +550,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process. Parsing leaves it unchanged (string defaults
+    are converted afresh on every parse), and each fresh build leaves about
+    500 objects of cyclic garbage behind, which in-process callers of
+    :func:`main` would pile up between full collections."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.budget is None:
         args.budget = int(os.environ.get(ENV_BUDGET, DEFAULT_BUDGET))
     if args.command == "tradeoff" and args.c_grid is None:
@@ -539,7 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, passed = args.fn(args)
     except NonlocalLabError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
+        # a cross-check failure is a failed verification, not bad input
+        return 1 if isinstance(exc, CrossCheckMismatch) else 2
     _emit(report, args)
     return 0 if passed else 1
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    CrossCheckMismatch,
     InvalidInput,
     ModulusMismatch,
     NotPowerOfTwo,
@@ -184,7 +185,7 @@ def coins_bound_sweep(big_k: int, s_max: int) -> list[tuple[int, bool]]:
     """Evaluate the coin bound for every s from K**2 to ``s_max``.
 
     The residue counts are advanced one coin at a time (each coin convolves
-    with {0,1}), which matches :func:`coin_counts` and is cross-asserted
+    with {0,1}), which matches :func:`coin_counts` and is cross-checked
     against it on a subsample of rounds.
     """
     if s_max < big_k * big_k:
@@ -199,7 +200,8 @@ def coins_bound_sweep(big_k: int, s_max: int) -> list[tuple[int, bool]]:
             ok = _leq_ratio_bound(max(counts), min(counts), 4 * big_k, s)
             results.append((s, ok))
             if s % 512 == 0 or s == s_max:
-                assert tuple(counts) == coin_counts(s, big_k)
+                if tuple(counts) != coin_counts(s, big_k):
+                    raise CrossCheckMismatch(f"sweep differs from coin_counts at s={s}")
     return results
 
 

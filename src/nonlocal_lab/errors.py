@@ -51,6 +51,10 @@ class DeltaOutOfRange(NonlocalLabError, ValueError):
     """The advantage threshold must lie in [0, 1)."""
 
 
+class CrossCheckMismatch(NonlocalLabError):
+    """Two independent computations of the same quantity disagree."""
+
+
 class Infeasible(NonlocalLabError):
     """The linear program admits no feasible point."""
 

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import InvalidInput, LengthMismatch, ResourceLimit
+from .errors import CrossCheckMismatch, InvalidInput, LengthMismatch, ResourceLimit
 from .model import CorrelationProblem, DeterministicLhv, InputVector, OutcomeVector, ZERO
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree, SHARED
 
 #: maximum number of valid inputs materialized or scanned by default
 DEFAULT_INPUT_CAP = 10**7
+
+#: outcomes per party: each qubit measurement reports one bit
+OUTPUTS = 2
 
 #: numeric tolerance tying the amplitude computation to its closed form
 AMPLITUDE_TOLERANCE = 1e-12
@@ -142,7 +145,8 @@ def quantum_probability(inst: GhzInstance, x: Sequence[int], a: Sequence[int]) -
     amp = (overlap_zero + overlap_one) * _INV_SQRT2
     p = amp.real * amp.real + amp.imag * amp.imag
     closed = (1.0 + math.cos(math.pi * (sum(a) - sum(x) / inst.k))) / 2**inst.n
-    assert abs(p - closed) <= AMPLITUDE_TOLERANCE, "amplitude/closed-form mismatch"
+    if abs(p - closed) > AMPLITUDE_TOLERANCE:
+        raise CrossCheckMismatch(f"amplitude {p} differs from the closed form {closed}")
     return p
 
 
@@ -174,7 +178,7 @@ def ghz_problem(inst: GhzInstance, cap: int = DEFAULT_INPUT_CAP) -> CorrelationP
     for x in valid_inputs(inst):
         mu[x] = weight
         target[x] = rows[(sum(x) % (2 * inst.k)) // inst.k]
-    return CorrelationProblem(n=n, k=inst.k, l=2, mu=mu, target=target)
+    return CorrelationProblem(n=n, k=inst.k, l=OUTPUTS, mu=mu, target=target)
 
 
 def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) -> float:
@@ -209,7 +213,10 @@ def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) 
             seen += 1
             if seen % cross_check_stride == 0:
                 direct = quantum_probability(inst, x, outcomes[m])
-                assert abs(direct - p) <= AMPLITUDE_TOLERANCE
+                if abs(direct - p) > AMPLITUDE_TOLERANCE:
+                    raise CrossCheckMismatch(
+                        f"per-input product {p} differs from the direct {direct} at {x}"
+                    )
     return worst
 
 

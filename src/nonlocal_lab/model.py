@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .errors import ArityMismatch, DivisionByZeroEfficiency
+from .errors import ArityMismatch, DivisionByZeroEfficiency, InvalidInput
 
 #: tolerance for real-valued (non-rational) probability checks
 REAL_TOLERANCE = 1e-12
@@ -168,6 +168,16 @@ class DeterministicLhv:
 
     def clicks_on(self, x: InputVector) -> bool:
         return all(t[v] is not None for t, v in zip(self.tables, x))
+
+
+def check_output_alphabet(lhvs: Iterable[DeterministicLhv], l: int) -> None:
+    """Raise ``InvalidInput`` unless every table entry is silent or lies in
+    ``{0..l-1}``. One pass over the tables, not over (input, model) pairs."""
+    for lhv in lhvs:
+        for t in lhv.tables:
+            for v in t:
+                if v is not None and v >= l:
+                    raise InvalidInput(f"output {v} outside {{0..{l - 1}}}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
+    CrossCheckMismatch,
     DeltaOutOfRange,
     EmptyIntersection,
     EmptyWeight,
@@ -92,7 +93,8 @@ def involvement(r: Rectangle) -> int:
     The rectangle size can never exceed k**involvement.
     """
     m = sum(1 for s in r.sets if len(s) >= 2)
-    assert r.size <= r.k**m
+    if r.size > r.k**m:
+        raise CrossCheckMismatch(f"size {r.size} exceeds k**involvement = {r.k**m}")
     return m
 
 

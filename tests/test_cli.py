@@ -6,6 +6,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_mixed_lhv
 from nonlocal_lab import serialize
 from nonlocal_lab.cli import main
@@ -197,15 +199,128 @@ def test_env_budget(tmp_path, capsys, monkeypatch):
     assert code == 2 and "BudgetExceeded" in err
 
 
-def test_threads_flag_matches_serial(capsys):
-    code, out1, _ = run_cli(capsys, "rect-scan", "--n", "3", "--k", "2", "--seed", "5")
-    code2, out2, _ = run_cli(
-        capsys, "rect-scan", "--n", "3", "--k", "2", "--seed", "5", "--threads", "4"
-    )
+def test_rect_scan_replay_is_bit_identical(capsys):
+    for mode in ("canonical", "sample"):
+        argv = ["rect-scan", "--n", "3", "--k", "2", "--seed", "5", "--mode", mode]
+        code, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code == code2 == 0
+        assert out1 == out2  # sampling draws only from the recorded seed
+
+
+def test_search_replay_is_bit_identical(capsys):
+    code, out1, _ = run_cli(capsys, "search", "--n", "3", "--k", "2")
+    code2, out2, _ = run_cli(capsys, "search", "--n", "3", "--k", "2")
     assert code == code2 == 0
-    assert out1 == out2  # schedule-independent results
-    # sampling mode draws randomness and must stay replayable across threads
-    base = ["rect-scan", "--n", "3", "--k", "2", "--seed", "5", "--mode", "sample"]
-    _, serial, _ = run_cli(capsys, *base)
-    _, threaded, _ = run_cli(capsys, *base, "--threads", "4")
-    assert serial == threaded
+    assert out1 == out2
+
+
+def test_cross_check_mismatch_exits_one(capsys, monkeypatch):
+    from nonlocal_lab import ghz
+    from nonlocal_lab.errors import CrossCheckMismatch
+
+    def broken(inst, cross_check_stride=257):
+        raise CrossCheckMismatch("routes disagree")
+
+    monkeypatch.setattr(ghz, "equivalence_max_deviation", broken)
+    code, out, err = run_cli(capsys, "quantum", "--n", "3", "--k", "2")
+    assert code == 1 and out == ""
+    assert err == "CrossCheckMismatch: routes disagree\n"
+
+
+def assert_bad_input(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(("InvalidInput:", "ArityMismatch:", "MalformedTree:"))
+
+
+def test_lhv_eval_rejects_outputs_outside_the_alphabet(tmp_path, capsys):
+    # l = 2, so the table entry 7 lies outside the output alphabet
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps(
+            {
+                "components": [
+                    {
+                        "model": {"tables": [[0, 7], [0, 1], [1, 0]]},
+                        "weight": {"num": "1", "den": "1"},
+                    }
+                ]
+            }
+        )
+    )
+    result = run_cli(capsys, "lhv-eval", "--n", "3", "--k", "2", "--model", str(path))
+    assert_bad_input(*result)
+    assert "output 7 outside {0..1}" in result[2]
+
+
+def test_protocol_run_rejects_outputs_outside_the_alphabet(tmp_path, capsys):
+    tree = {
+        "n": 2,
+        "k": 2,
+        "root": {"leaf": {"tables": [[0, 1], [2, 0]]}},  # 2 is one past {0, 1}
+    }
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    for extra in ([], ["--evaluate"], ["--input", "0,0"]):
+        result = run_cli(capsys, "protocol-run", "--tree", str(path), *extra)
+        assert_bad_input(*result)
+        assert "output 2 outside {0..1}" in result[2]
+
+
+BAD_FILES = {
+    "missing": None,
+    "not JSON": "{not json",
+    "not UTF-8": b"\xff\xfe",
+    "KeyError": "{}",
+    "TypeError": "5",
+    "ragged tables": json.dumps(
+        {
+            "components": [
+                {"model": {"tables": [[0, 1], [0]]}, "weight": {"num": "1", "den": "1"}}
+            ]
+        }
+    ),
+    "zero denominator": json.dumps(
+        {
+            "components": [
+                {"model": {"tables": [[0, 1], [0, 1]]}, "weight": {"num": "1", "den": "0"}}
+            ]
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_unreadable_input_files_exit_two(tmp_path, capsys, case):
+    path = tmp_path / "input.json"
+    content = BAD_FILES[case]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    assert_bad_input(
+        *run_cli(capsys, "lhv-eval", "--n", "2", "--k", "2", "--model", str(path))
+    )
+    assert_bad_input(*run_cli(capsys, "protocol-run", "--tree", str(path), "--evaluate"))
+
+
+def test_zero_denominator_argument_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "2", "--k", "2", "--eps-budget", "1/0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["tradeoff", "--n", "2", "--k", "2", "--eps-grid", "0,1/0"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_protocol_run_rejects_a_malformed_input_vector(tmp_path, capsys):
+    tree = broadcast_strategy(GhzInstance(n=3, k=2))
+    path = tmp_path / "tree.json"
+    path.write_text(serialize.dumps(serialize.tree_to_json(tree)))
+    for vector in ("1,x,0", "1,1"):
+        assert_bad_input(
+            *run_cli(capsys, "protocol-run", "--tree", str(path), "--input", vector)
+        )

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from nonlocal_lab.errors import InvalidInput, LengthMismatch, ResourceLimit
+from nonlocal_lab import ghz
+from nonlocal_lab.errors import (
+    CrossCheckMismatch,
+    InvalidInput,
+    LengthMismatch,
+    ResourceLimit,
+)
 from nonlocal_lab.ghz import (
     AMPLITUDE_TOLERANCE,
     GhzInstance,
@@ -118,6 +124,14 @@ def test_promise_equivalence_small_exhaustive():
                 t = float(target_probability(inst, x, a))
                 assert abs(q - t) < AMPLITUDE_TOLERANCE
         assert equivalence_max_deviation(inst) < AMPLITUDE_TOLERANCE
+
+
+def test_cross_check_raises_when_the_routes_disagree(monkeypatch):
+    # an explicit raise, not an assert, so the check also runs under python -O
+    exact = ghz.quantum_probability
+    monkeypatch.setattr(ghz, "quantum_probability", lambda *a: exact(*a) + 1e-9)
+    with pytest.raises(CrossCheckMismatch):
+        equivalence_max_deviation(GhzInstance(n=3, k=2), cross_check_stride=1)
 
 
 def test_phase_measurement():

@@ -20,13 +20,16 @@ from nonlocal_lab.model import (
     uniform_problem,
 )
 from nonlocal_lab.protocol import MixedProtocol, cost, to_detector_model
+from nonlocal_lab import search
 from nonlocal_lab.search import (
     best_deterministic_error,
+    detector_columns,
     eta_star_lp,
     model_respects_rectangle_bound,
     tradeoff_table,
 )
 from nonlocal_lab.rectangles import scan_rectangles
+from nonlocal_lab.simplex import solve_lp_max
 
 F = Fraction
 
@@ -161,6 +164,80 @@ def test_lp_witness_click_probability_is_input_independent():
     for x in problem.support:
         clicks = sum(p for a, p in d.probs[x].items() if all_click(a))
         assert clicks == report.optimum
+
+
+def full_column_lp_oracle(problem):
+    """Independent route: the eta* LP with one column per silent-allowed
+    strategy, (l+1)**(n*k) columns. Returns a solver ``(eps, relaxed) -> q``."""
+    n, k, l = problem.n, problem.k, problem.l
+    support = problem.support
+    entries = list(range(l)) + [None]
+    tables = list(itertools.product(entries, repeat=k))
+    clicks, errs = [], []
+    for combo in itertools.product(tables, repeat=n):
+        outs = [tuple(combo[i][x[i]] for i in range(n)) for x in support]
+        col = [all(v is not None for v in a) for a in outs]
+        clicks.append(col)
+        errs.append(
+            sum(
+                (
+                    problem.mu_weight(x)
+                    for x, a, c in zip(support, outs, col)
+                    if c and problem.target_prob(x, a) == 0
+                ),
+                F(0),
+            )
+        )
+    m = len(clicks)
+
+    def solve(eps, relaxed):
+        eq = [([F(1)] * m + [F(0)], F(1))]
+        ub = []
+        for xi in range(len(support)):
+            row = [F(int(col[xi])) for col in clicks] + [F(-1)]
+            if relaxed:
+                ub.append(([-c for c in row], F(0)))
+            else:
+                eq.append((row, F(0)))
+        ub.append((errs + [-eps], F(0)))
+        return solve_lp_max([F(0)] * m + [F(1)], eq, ub).solution[m]
+
+    return solve
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3)])
+def test_lp_over_click_patterns_matches_full_column_lp(n, k):
+    problem = ghz_problem(GhzInstance(n=n, k=k))
+    oracle = full_column_lp_oracle(problem)
+    columns = detector_columns(problem)
+    assert columns.enumerated == 3 ** (n * k)
+    assert len(set(columns.patterns)) == len(columns.patterns)
+    for eps in (F(0), F(1, 10), F(1, 4), F(1)):
+        for relaxed in (False, True):
+            report = eta_star_lp(problem, eps, relaxed=relaxed)
+            assert report.optimum == oracle(eps, relaxed), (eps, relaxed)
+            assert report.enumerated == 3 ** (n * k)
+
+
+def test_lp_four_parties_pinned(monkeypatch):
+    problem = ghz_problem(GhzInstance(n=4, k=2))
+    built = []
+
+    class CountingLhv(search.DeterministicLhv):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    # the enumeration is streamed: lookup tables only for the kept columns
+    monkeypatch.setattr(search, "DeterministicLhv", CountingLhv)
+    columns = detector_columns(problem)
+    assert columns.enumerated == 6561
+    assert len(columns.strategies) == len(built) == 42
+    for eps, expected in ((F(0), F(1, 4)), (F(1, 10), F(5, 14))):
+        report = search.eta_star_from_columns(columns, eps)
+        assert report.optimum == expected
+        met = mixed_lhv_metrics(report.witness, problem)
+        assert met.eta_n == expected and met.eps <= eps
 
 
 def test_tradeoff_table_consistency_small():
