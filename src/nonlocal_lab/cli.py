@@ -37,17 +37,13 @@ DEFAULT_BUDGET = 10**7
 
 
 def _jsonify(obj: Any) -> Any:
-    if isinstance(obj, Fraction):
-        return serialize.fraction_to_json(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(obj)
-    return obj
+    return serialize.number_to_json(obj)
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -145,7 +141,6 @@ def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
     mixed = _load_json(args.model, serialize.mixed_lhv_from_json)
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     problem = ghz.ghz_problem(inst, cap=args.budget)
-    model.check_output_alphabet((lhv for lhv, _ in mixed.components), problem.l)
     metrics = model.mixed_lhv_metrics(mixed, problem)
     report = {
         "command": "lhv-eval",

@@ -9,12 +9,14 @@ handling, so no floating point ever enters a pass/fail decision.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CrossCheckMismatch,
@@ -30,6 +32,58 @@ INFINITE = math.inf
 
 def _is_power_of_two(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
+
+
+def indicator(modulus: int, elements: Iterable[int]) -> tuple[int, ...]:
+    """Count vector of ``elements`` reduced mod ``modulus`` (repeats add up)."""
+    if modulus < 1:
+        raise InvalidInput(f"modulus must be >= 1, got {modulus}")
+    counts = [0] * modulus
+    for e in elements:
+        counts[e % modulus] += 1
+    return tuple(counts)
+
+
+def conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Cyclic convolution of two count vectors of one length m: entry x is
+    the sum of a[i] * b[j] over i + j = x mod m. Zero entries of both
+    operands are skipped, so sparse operands cost only their occupied pairs.
+    """
+    m = len(a)
+    if len(b) != m:
+        raise ModulusMismatch(f"moduli differ: {m} vs {len(b)}")
+    occupied = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * m
+    for i, x in enumerate(a):
+        if x:
+            for j, y in occupied:
+                out[(i + j) % m] += x * y
+    return out
+
+
+def power(p: Sequence[int], e: int) -> list[int]:
+    """``p`` convolved with itself ``e`` times, by square-and-multiply (each
+    multiply step uses ``p`` itself, the sparse operand); ``e = 0`` gives the
+    unit vector, all mass on residue 0."""
+    if e < 0:
+        raise InvalidInput(f"exponent must be >= 0, got {e}")
+    if e == 0:
+        return [1] + [0] * (len(p) - 1)
+    if e == 1:
+        return list(p)
+    half = power(p, e >> 1)
+    square = conv(half, half)
+    return conv(square, p) if e & 1 else square
+
+
+def product(factors: Iterable[Sequence[int]]) -> list[int]:
+    """Convolution of all ``factors``: identical factors are grouped and each
+    group is raised to its count with :func:`power` before the groups are
+    folded together, so r copies of one factor cost O(log r) convolutions."""
+    terms = [power(f, e) for f, e in Counter(map(tuple, factors)).items()]
+    if not terms:
+        raise InvalidInput("need at least one factor")
+    return functools.reduce(conv, terms)
 
 
 @dataclass(frozen=True)
@@ -56,10 +110,7 @@ class MultisetZ:
 
     @classmethod
     def from_set(cls, modulus: int, elements: Sequence[int]) -> "MultisetZ":
-        mult = [0] * modulus
-        for e in elements:
-            mult[e % modulus] += 1
-        return cls(modulus=modulus, mult=tuple(mult))
+        return cls(modulus=modulus, mult=indicator(modulus, elements))
 
     @classmethod
     def uniform(cls, modulus: int) -> "MultisetZ":
@@ -97,26 +148,15 @@ class Subgroup:
 
 def multiset_sum(a: MultisetZ, b: MultisetZ) -> MultisetZ:
     """Multiset of all pairwise sums, i.e. the cyclic convolution."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(f"moduli differ: {a.modulus} vs {b.modulus}")
-    t = a.modulus
-    out = [0] * t
-    for i, ma in enumerate(a.mult):
-        if ma:
-            for j, mb in enumerate(b.mult):
-                if mb:
-                    out[(i + j) % t] += ma * mb
-    return MultisetZ(modulus=t, mult=tuple(out))
+    return MultisetZ(modulus=a.modulus, mult=conv(a.mult, b.mult))
 
 
 def iterated_sum(sets: Sequence[MultisetZ]) -> MultisetZ:
-    """Left-to-right convolution of a sequence of multisets."""
+    """Convolution of a sequence of multisets; :func:`conv` raises
+    ``ModulusMismatch`` when their moduli differ."""
     if not sets:
         raise InvalidInput("need at least one multiset")
-    acc = sets[0]
-    for s in sets[1:]:
-        acc = multiset_sum(acc, s)
-    return acc
+    return MultisetZ(modulus=sets[0].modulus, mult=product(s.mult for s in sets))
 
 
 def subgroup_bias(a: MultisetZ, h: Subgroup):
@@ -185,17 +225,15 @@ def coins_bound_sweep(big_k: int, s_max: int) -> list[tuple[int, bool]]:
     """Evaluate the coin bound for every s from K**2 to ``s_max``.
 
     The residue counts are advanced one coin at a time (each coin convolves
-    with {0,1}), which matches :func:`coin_counts` and is cross-checked
-    against it on a subsample of rounds.
+    with {0,1}), which matches the binomial closed form :func:`coin_counts`
+    and is cross-checked against it on a subsample of rounds.
     """
     if s_max < big_k * big_k:
         raise PreconditionViolated(f"need s_max >= K^2, got {s_max}")
-    counts = [0] * big_k
-    counts[0 % big_k] += 1
-    counts[1 % big_k] += 1  # counts for s = 1
+    counts = coin = indicator(big_k, (0, 1))  # counts for s = 1
     results: list[tuple[int, bool]] = []
     for s in range(2, s_max + 1):
-        counts = [counts[x] + counts[(x - 1) % big_k] for x in range(big_k)]
+        counts = conv(counts, coin)
         if s >= big_k * big_k:
             ok = _leq_ratio_bound(max(counts), min(counts), 4 * big_k, s)
             results.append((s, ok))
@@ -211,12 +249,7 @@ def repeated_pair_sum(b: int, s: int, big_t: int) -> MultisetZ:
         raise InvalidInput(f"s must be >= 1, got {s}")
     if not 0 <= b < big_t:
         raise InvalidInput(f"b must lie in 0..{big_t - 1}")
-    mult = [0] * big_t
-    binom = 1
-    for i in range(s + 1):
-        mult[(i * b) % big_t] += binom
-        binom = binom * (s - i) // (i + 1)
-    return MultisetZ(modulus=big_t, mult=tuple(mult))
+    return MultisetZ(modulus=big_t, mult=power(indicator(big_t, (0, b)), s))
 
 
 def _bias_within_bound_t32(bias, big_t: int, r: int) -> bool:
@@ -262,14 +295,10 @@ def verify_size2_sets(big_t: int, sets: Sequence[Sequence[int]]) -> Size2Report:
             raise InvalidInput(f"sets must have exactly 2 distinct elements, got {s}")
         lo, hi = vals
         normalized.append((hi - lo) % big_t)  # translate so 0 is a member
-    tally: dict[int, int] = {}
-    for b in normalized:
-        tally[b] = tally.get(b, 0) + 1
+    tally = Counter(normalized)
     majority = max(tally, key=lambda b: (tally[b], -b))
     count = tally[majority]
-    total = iterated_sum(
-        [MultisetZ.from_set(big_t, (0, b)) for b in normalized]
-    )
+    total = MultisetZ(modulus=big_t, mult=product(indicator(big_t, (0, b)) for b in normalized))
     sub = Subgroup(modulus=big_t, generator=majority)
     b_val = subgroup_bias(total, sub)
     passed = _bias_within_bound_t32(b_val, big_t, r)
@@ -308,13 +337,13 @@ def verify_addition_theorem(big_t: int, sets: Sequence[Sequence[int]]) -> Additi
     r = len(sets)
     if r < big_t**3:
         raise TooFewSets(f"need at least T^3 = {big_t**3} sets, got {r}")
-    multisets = []
+    factors = []
     for s in sets:
-        vals = sorted(set(v % big_t for v in s))
+        vals = set(v % big_t for v in s)
         if len(vals) < 2:
             raise InvalidInput(f"sets must have at least 2 distinct elements, got {s}")
-        multisets.append(MultisetZ.from_set(big_t, vals))
-    total = iterated_sum(multisets)
+        factors.append(indicator(big_t, vals))
+    total = MultisetZ(modulus=big_t, mult=product(factors))
     sub = Subgroup(modulus=big_t, generator=big_t // 2)
     b_val = subgroup_bias(total, sub)
     return AdditionReport(

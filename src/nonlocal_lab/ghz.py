@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .cyclic import indicator, power
 from .errors import CrossCheckMismatch, InvalidInput, LengthMismatch, ResourceLimit
 from .model import CorrelationProblem, DeterministicLhv, InputVector, OutcomeVector, ZERO
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree, SHARED
@@ -222,16 +223,7 @@ def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) 
 
 def _full_sum_counts(parties: int, modulus: int, k: int) -> list[int]:
     """Counts of (sum of ``parties`` free settings) mod ``modulus``."""
-    counts = [0] * modulus
-    counts[0] = 1
-    for _ in range(parties):
-        nxt = [0] * modulus
-        for residue, c in enumerate(counts):
-            if c:
-                for v in range(k):
-                    nxt[(residue + v) % modulus] += c
-        counts = nxt
-    return counts
+    return power(indicator(modulus, range(k)), parties)
 
 
 def _majority_bit(inst: GhzInstance, known: int, free_counts: list[int]) -> tuple[int, int]:

@@ -82,21 +82,21 @@ class CorrelationProblem:
             if len(x) != self.n or any(not (0 <= v < self.k) for v in x):
                 raise ArityMismatch(f"input {x} outside {{0..{self.k - 1}}}^{self.n}")
             if w < 0:
-                raise ValueError(f"negative input weight at {x}")
+                raise InvalidInput(f"negative input weight at {x}")
             total += w
         if total != 1:
-            raise ValueError(f"input weights sum to {total}, expected 1")
+            raise InvalidInput(f"input weights sum to {total}, expected 1")
         for x in self.support:
             row = self.target.get(x)
             if row is None:
-                raise ValueError(f"no target distribution for supported input {x}")
+                raise InvalidInput(f"no target distribution for supported input {x}")
             exact = all(isinstance(p, Fraction) for p in row.values())
             s = sum(row.values())
             if exact:
                 if s != 1:
-                    raise ValueError(f"target at {x} sums to {s}, expected 1")
+                    raise InvalidInput(f"target at {x} sums to {s}, expected 1")
             elif abs(s - 1.0) > REAL_TOLERANCE:
-                raise ValueError(f"target at {x} sums to {s}, expected 1")
+                raise InvalidInput(f"target at {x} sums to {s}, expected 1")
 
     @property
     def support(self) -> tuple[InputVector, ...]:
@@ -142,14 +142,14 @@ class DeterministicLhv:
         tables = tuple(tuple(t) for t in self.tables)
         object.__setattr__(self, "tables", tables)
         if not tables:
-            raise ValueError("at least one party required")
+            raise InvalidInput("at least one party required")
         k = len(tables[0])
         for t in tables:
             if len(t) != k or k == 0:
-                raise ValueError("party tables must share one input range")
+                raise InvalidInput("party tables must share one input range")
             for v in t:
                 if v is not None and v < 0:
-                    raise ValueError("outputs must be None or nonnegative ints")
+                    raise InvalidInput("outputs must be None or nonnegative ints")
 
     @property
     def n(self) -> int:
@@ -190,15 +190,15 @@ class MixedLhv:
         comps = tuple((lhv, Fraction(w)) for lhv, w in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
-            raise ValueError("a mixture needs at least one component")
+            raise InvalidInput("a mixture needs at least one component")
         shape = (comps[0][0].n, comps[0][0].k)
         for lhv, w in comps:
             if (lhv.n, lhv.k) != shape:
                 raise ArityMismatch("all components must share (n, k)")
             if w <= 0:
-                raise ValueError("component weights must be positive")
+                raise InvalidInput("component weights must be positive")
         if sum(w for _, w in comps) != 1:
-            raise ValueError("component weights must sum to 1")
+            raise InvalidInput("component weights must sum to 1")
 
     @property
     def n(self) -> int:
@@ -224,10 +224,10 @@ class ModelDistribution:
             s = ZERO
             for a, p in row.items():
                 if p < 0:
-                    raise ValueError(f"negative probability at {x} -> {a}")
+                    raise InvalidInput(f"negative probability at {x} -> {a}")
                 s += p
             if s != 1:
-                raise ValueError(f"distribution at {x} sums to {s}, expected 1")
+                raise InvalidInput(f"distribution at {x} sums to {s}, expected 1")
 
     def prob(self, x: InputVector, a: OutcomeVector) -> Fraction:
         return self.probs.get(x, {}).get(a, ZERO)
@@ -260,6 +260,7 @@ def evaluate_mixed_lhv(m: MixedLhv, problem: CorrelationProblem) -> ModelDistrib
         raise ArityMismatch(
             f"model is ({m.n}, {m.k}) but problem is ({problem.n}, {problem.k})"
         )
+    check_output_alphabet((lhv for lhv, _ in m.components), problem.l)
     probs: dict[InputVector, dict[OutcomeVector, Fraction]] = {}
     for x in problem.support:
         row: dict[OutcomeVector, Fraction] = {}
@@ -335,6 +336,7 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
         raise ArityMismatch(
             f"model is ({m.n}, {m.k}) but problem is ({problem.n}, {problem.k})"
         )
+    check_output_alphabet((lhv for lhv, _ in m.components), problem.l)
     eta_n = ZERO
     err = ZERO
     var: Prob = ZERO

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Union
 
-from .errors import ArityMismatch, FlavorMismatch, MalformedTree
+from .errors import ArityMismatch, FlavorMismatch, InvalidInput, MalformedTree
 from .model import (
     CorrelationProblem,
     DeterministicLhv,
@@ -218,15 +218,15 @@ class MixedProtocol:
         if self.flavor not in (SHARED, LOCAL):
             raise FlavorMismatch(f"unknown flavor {self.flavor!r}")
         if not comps:
-            raise ValueError("a mixture needs at least one component")
+            raise InvalidInput("a mixture needs at least one component")
         shape = (comps[0][0].n, comps[0][0].k)
         for t, w in comps:
             if (t.n, t.k) != shape:
                 raise ArityMismatch("all component trees must share (n, k)")
             if w <= 0:
-                raise ValueError("component weights must be positive")
+                raise InvalidInput("component weights must be positive")
         if sum(w for _, w in comps) != 1:
-            raise ValueError("component weights must sum to 1")
+            raise InvalidInput("component weights must sum to 1")
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ classical model.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+from .cyclic import indicator, product
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -73,18 +75,9 @@ def residue_counts(r: Rectangle, modulus: int) -> dict[int, int]:
     Computed by convolving the per-party indicator vectors, so it stays
     polynomial even when the rectangle itself is astronomically large.
     """
-    if modulus < 1:
-        raise InvalidInput(f"modulus must be >= 1, got {modulus}")
-    counts = [0] * modulus
-    counts[0] = 1
-    for s in r.sets:
-        nxt = [0] * modulus
-        for residue, c in enumerate(counts):
-            if c:
-                for v in s:
-                    nxt[(residue + v) % modulus] += c
-        counts = nxt
-    return {residue: c for residue, c in enumerate(counts)}
+    factors = [indicator(modulus, s) for s in r.sets]
+    counts = product(factors) if factors else indicator(modulus, (0,))
+    return dict(enumerate(counts))
 
 
 def involvement(r: Rectangle) -> int:
@@ -116,9 +109,25 @@ def advantage(r: Rectangle, a: OutcomeVector, problem: CorrelationProblem) -> Fr
     return admissible / weight
 
 
-def _parity_counts(r: Rectangle, inst: GhzInstance) -> tuple[int, int]:
-    counts = residue_counts(r, 2 * inst.k)
-    return counts[0], counts[inst.k]
+def _parity_counts(counts: dict[int, int], k: int) -> tuple[int, int]:
+    """The two promise-parity classes (residues 0 and k mod 2k) of a
+    rectangle's residue counts; both empty means no valid input inside."""
+    n0, n1 = counts[0], counts[k]
+    if n0 + n1 == 0:
+        raise EmptyIntersection("rectangle contains no valid inputs")
+    return n0, n1
+
+
+def _parity_bias(n0: int, n1: int):
+    """(1 + bias) is the larger parity class over the smaller one;
+    ``math.inf`` when exactly one class is empty."""
+    if min(n0, n1) == 0:
+        return INFINITE
+    return Fraction(max(n0, n1), min(n0, n1)) - 1
+
+
+def _max_advantage(n0: int, n1: int) -> Fraction:
+    return Fraction(max(n0, n1), n0 + n1)
 
 
 def bias(r: Rectangle, inst: GhzInstance):
@@ -127,13 +136,7 @@ def bias(r: Rectangle, inst: GhzInstance):
 
     Returns ``math.inf`` when one class is empty and the other is not.
     """
-    n0, n1 = _parity_counts(r, inst)
-    if n0 + n1 == 0:
-        raise EmptyIntersection("rectangle contains no valid inputs")
-    lo, hi = min(n0, n1), max(n0, n1)
-    if lo == 0:
-        return INFINITE
-    return Fraction(hi, lo) - 1
+    return _parity_bias(*_parity_counts(residue_counts(r, 2 * inst.k), inst.k))
 
 
 @dataclass(frozen=True)
@@ -161,11 +164,9 @@ def advantage_bias_relation(
     advantage is recomputed from the generic per-outcome definition as an
     independent route.
     """
-    n0, n1 = _parity_counts(r, inst)
-    if n0 + n1 == 0:
-        raise EmptyIntersection("rectangle contains no valid inputs")
-    b = INFINITE if min(n0, n1) == 0 else Fraction(max(n0, n1), min(n0, n1)) - 1
-    max_adv = Fraction(max(n0, n1), n0 + n1)
+    n0, n1 = _parity_counts(residue_counts(r, 2 * inst.k), inst.k)
+    b = _parity_bias(n0, n1)
+    max_adv = _max_advantage(n0, n1)
     expected = Fraction(1) if b == INFINITE else (1 + b) / (2 + b)
     passed = max_adv == expected
 
@@ -208,10 +209,7 @@ class RectangleStats:
 
 def rectangle_stats(r: Rectangle, inst: GhzInstance) -> RectangleStats:
     counts = residue_counts(r, 2 * inst.k)
-    n0, n1 = counts[0], counts[inst.k]
-    if n0 + n1 == 0:
-        raise EmptyIntersection("rectangle contains no valid inputs")
-    b = INFINITE if min(n0, n1) == 0 else Fraction(max(n0, n1), min(n0, n1)) - 1
+    n0, n1 = _parity_counts(counts, inst.k)
     total = n0 + n1
     return RectangleStats(
         sets=r.sets,
@@ -220,7 +218,7 @@ def rectangle_stats(r: Rectangle, inst: GhzInstance) -> RectangleStats:
         counts=counts,
         n0=n0,
         n1=n1,
-        bias=b,
+        bias=_parity_bias(n0, n1),
         advantage_even=Fraction(n0, total),
         advantage_odd=Fraction(n1, total),
         mu_weight=Fraction(total, inst.valid_input_count()),
@@ -245,7 +243,7 @@ def stats_to_csv(stats: Sequence[RectangleStats]) -> str:
                 s.n0,
                 s.n1,
                 bias_txt,
-                str(max(s.advantage_even, s.advantage_odd)),
+                str(_max_advantage(s.n0, s.n1)),
                 str(s.mu_weight),
             ]
         )
@@ -275,14 +273,16 @@ def rectangle_tradeoff_check(
     return lhs <= rhs
 
 
+def _subsets(k: int) -> list[frozenset[int]]:
+    """Nonempty subsets of {0..k-1}, by size, then lexicographically."""
+    return [
+        frozenset(s) for size in range(1, k + 1) for s in itertools.combinations(range(k), size)
+    ]
+
+
 def iter_rectangles(inst: GhzInstance) -> Iterator[Rectangle]:
     """All rectangles with nonempty per-party subsets (the full lattice)."""
-    subsets = [
-        frozenset(s)
-        for size in range(1, inst.k + 1)
-        for s in itertools.combinations(range(inst.k), size)
-    ]
-    for sets in itertools.product(subsets, repeat=inst.n):
+    for sets in itertools.product(_subsets(inst.k), repeat=inst.n):
         yield Rectangle(k=inst.k, sets=sets)
 
 
@@ -295,10 +295,6 @@ class ScanResult:
     exact: bool
     examined: int
     witness: Optional[tuple[frozenset[int], ...]]
-
-
-def _max_advantage(n0: int, n1: int) -> Fraction:
-    return Fraction(max(n0, n1), n0 + n1)
 
 
 def scan_rectangles(
@@ -328,61 +324,46 @@ def scan_rectangles(
         raise DeltaOutOfRange(f"delta must be in [0, 1], got {delta}")
     n, k = inst.n, inst.k
     denom = inst.valid_input_count()
-    best: Optional[Fraction] = None
+    best = Fraction(0)
     witness: Optional[tuple[frozenset[int], ...]] = None
     examined = 0
 
-    def consider(n0: int, n1: int, sets: tuple[frozenset[int], ...]) -> None:
-        nonlocal best, witness
-        if n0 + n1 == 0:
-            return
-        if _max_advantage(n0, n1) >= delta:
-            w = Fraction(n0 + n1, denom)
-            if best is None or w > best:
-                best = w
-                witness = sets
+    # one indicator vector per distinct part, shared by every rectangle
+    vector = functools.cache(lambda part: indicator(2 * k, part))
 
     if mode == "lattice":
         total = (2**k - 1) ** n
         if total > budget:
             raise BudgetExceeded(f"lattice scan of {total} rectangles exceeds {budget}")
-        for r in iter_rectangles(inst):
-            examined += 1
-            counts = residue_counts(r, 2 * k)
-            consider(counts[0], counts[k], r.sets)
+        rectangles = itertools.product(_subsets(k), repeat=n)
     elif mode == "canonical":
-        subsets = sorted(
-            (
-                frozenset(s)
-                for size in range(1, k + 1)
-                for s in itertools.combinations(range(k), size)
-            ),
-            key=lambda s: tuple(sorted(s)),
-        )
+        subsets = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
         combos = math.comb(n + len(subsets) - 1, len(subsets) - 1)
         if combos > budget:
             raise BudgetExceeded(f"canonical scan of {combos} classes exceeds {budget}")
-        for combo in itertools.combinations_with_replacement(subsets, n):
-            counts = residue_counts(Rectangle(k=k, sets=combo), 2 * k)
-            examined += 1
-            consider(counts[0], counts[k], combo)
+        rectangles = itertools.combinations_with_replacement(subsets, n)
     elif mode == "sample":
         rng = rng or random.Random(0)
         if samples > budget:
             raise BudgetExceeded(f"{samples} samples exceed budget {budget}")
         values = list(range(k))
-        for _ in range(samples):
-            sets = tuple(
-                frozenset(rng.sample(values, rng.randint(1, k))) for _ in range(n)
-            )
-            examined += 1
-            counts = residue_counts(Rectangle(k=k, sets=sets), 2 * k)
-            consider(counts[0], counts[k], sets)
+        rectangles = (
+            tuple(frozenset(rng.sample(values, rng.randint(1, k))) for _ in range(n))
+            for _ in range(samples)
+        )
     else:
         raise InvalidInput(f"unknown scan mode {mode!r}")
 
-    if best is None:
-        best = Fraction(0)
+    for sets in rectangles:
+        examined += 1
+        counts = product(map(vector, sets))
+        n0, n1 = counts[0], counts[k]
+        if n0 + n1 and _max_advantage(n0, n1) >= delta:
+            w = Fraction(n0 + n1, denom)
+            if w > best:
+                best = w
+                witness = sets
+
     return ScanResult(
         delta=delta,
         r_cap=best,

@@ -1,6 +1,7 @@
 """Cyclic-group multiset machinery: convolution sums, subgroup bias, coin
 counting, and the near-uniformity verifications."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,9 +14,13 @@ from nonlocal_lab.cyclic import (
     check_coins_bound,
     coin_counts,
     coins_bound_sweep,
+    conv,
     ghz_bias_subgroup,
+    indicator,
     iterated_sum,
     multiset_sum,
+    power,
+    product,
     random_subsets,
     repeated_pair_sum,
     subgroup_bias,
@@ -42,6 +47,63 @@ def test_multiset_sum_examples():
     assert multiset_sum(z4, z4).mult == (1, 2, 1, 0)
     with pytest.raises(ModulusMismatch):
         multiset_sum(z2, z4)
+    with pytest.raises(ModulusMismatch):
+        iterated_sum([z2, z2, z4])
+
+
+def brute_sum_counts(modulus, factors):
+    """Residue counts of every way to pick one element (with its
+    multiplicity) from each factor, enumerated one pick at a time."""
+    elements = [[e for e, c in enumerate(f) for _ in range(c)] for f in factors]
+    out = [0] * modulus
+    for picks in itertools.product(*elements):
+        out[sum(picks) % modulus] += 1
+    return out
+
+
+def test_kernel_against_enumeration():
+    rng = random.Random(23)
+    for _ in range(150):
+        big_t = rng.randint(1, 8)
+
+        def draw():
+            return [rng.randint(0, 2) for _ in range(big_t)]
+
+        a, b = draw(), draw()
+        assert conv(a, b) == brute_sum_counts(big_t, [a, b])
+        e = rng.randint(0, 4)
+        assert power(a, e) == brute_sum_counts(big_t, [a] * e)
+        factors = [draw() for _ in range(rng.randint(1, 3))]
+        factors += rng.choices(factors, k=rng.randint(0, 2))
+        assert product(factors) == brute_sum_counts(big_t, factors)
+
+
+def test_power_zero_is_the_unit():
+    for big_t in (1, 2, 5, 16):
+        unit = [1] + [0] * (big_t - 1)
+        assert power(list(range(big_t)), 0) == unit
+        assert power([0] * big_t, 0) == unit
+    with pytest.raises(InvalidInput):
+        power([1, 1], -1)
+    with pytest.raises(InvalidInput):
+        product([])
+
+
+def test_product_is_an_order_free_left_fold():
+    rng = random.Random(29)
+    for big_t in (2, 4, 8, 16):
+        for _ in range(4):
+            pool = [
+                indicator(big_t, rng.sample(range(big_t), rng.randint(1, big_t)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            factors = rng.choices(pool, k=rng.randint(1, 300))
+            folded = factors[0]
+            for f in factors[1:]:
+                folded = conv(folded, f)
+            assert product(factors) == list(folded)
+            rng.shuffle(factors)
+            assert product(factors) == list(folded)
 
 
 def test_singleton_sum_is_translation():
@@ -221,8 +283,8 @@ def test_verify_addition_theorem():
 
 
 def test_residue_kernel_cross_module_oracle():
-    # convolving the per-party indicator multisets reproduces the rectangle
-    # residue counts
+    # both modules' routes to the rectangle residue counts agree with
+    # enumerating the rectangle's points
     rng = random.Random(21)
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -230,11 +292,12 @@ def test_residue_kernel_cross_module_oracle():
         sets = tuple(
             frozenset(rng.sample(range(k), rng.randint(1, k))) for _ in range(n)
         )
-        r = Rectangle(k=k, sets=sets)
+        brute = [0] * (2 * k)
+        for x in itertools.product(*sets):
+            brute[sum(x) % (2 * k)] += 1
         folded = iterated_sum([MultisetZ.from_set(2 * k, tuple(s)) for s in sets])
-        assert residue_counts(r, 2 * k) == {
-            i: folded.mult[i] for i in range(2 * k)
-        }
+        assert list(folded.mult) == brute
+        assert residue_counts(Rectangle(k=k, sets=sets), 2 * k) == dict(enumerate(brute))
 
 
 def test_ghz_bias_subgroup_warning():

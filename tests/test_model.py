@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_click_lhv, random_mixed_lhv
-from nonlocal_lab.errors import DivisionByZeroEfficiency
+from nonlocal_lab.errors import DivisionByZeroEfficiency, InvalidInput
 from nonlocal_lab.ghz import GhzInstance, ghz_problem
 from nonlocal_lab.model import (
     CorrelationProblem,
@@ -228,7 +228,7 @@ def test_outcome_all_click_predicate():
 
 
 def test_problem_validation_rejects_bad_weights():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         CorrelationProblem(
             n=1,
             k=2,
@@ -236,3 +236,13 @@ def test_problem_validation_rejects_bad_weights():
             mu={(0,): F(1, 2), (1,): F(1, 4)},
             target={(0,): {(0,): F(1)}, (1,): {(0,): F(1)}},
         )
+
+
+def test_metrics_reject_outputs_outside_the_alphabet():
+    # l = 2, so the table entry 7 lies outside the output alphabet
+    problem = ghz_problem(GhzInstance(n=3, k=2))
+    lhv = DeterministicLhv(tables=((0, 7), (0, 1), (1, 0)))
+    m = MixedLhv(components=((lhv, F(1)),))
+    for route in (mixed_lhv_metrics, evaluate_mixed_lhv):
+        with pytest.raises(InvalidInput, match="output 7 outside"):
+            route(m, problem)
