@@ -71,11 +71,10 @@ def main() -> None:
     )
 
     print("Exact weight caps over all rectangles meeting a threshold:")
-    scans = []
-    for delta in (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)):
-        res = scan_rectangles(inst, delta, mode="lattice")
-        scans.append(res)
-        print(f"  advantage >= {delta}: max weight {res.r_cap} "
+    deltas = (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8))
+    scans = scan_rectangles(inst, deltas, mode="lattice")
+    for res in scans:
+        print(f"  advantage >= {res.delta}: max weight {res.r_cap} "
               f"(witness sets {[sorted(s) for s in res.witness]})")
 
     print("\nEvery classical model obeys the resulting inequality; checking")

@@ -198,20 +198,14 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    rng = random.Random(args.seed)
-    # one sub-seed per threshold, so each scan's draws depend only on its own
-    seeds = [rng.randrange(2**63) for _ in args.delta_grid]
-    scans = [
-        rectangles.scan_rectangles(
-            inst,
-            delta,
-            budget=args.budget,
-            mode=args.mode,
-            samples=args.samples,
-            rng=random.Random(seed),
-        )
-        for delta, seed in zip(args.delta_grid, seeds)
-    ]
+    scans = rectangles.scan_rectangles(
+        inst,
+        args.delta_grid,
+        budget=args.budget,
+        mode=args.mode,
+        samples=args.samples,
+        rng=random.Random(args.seed),
+    )
 
     relation_checked = 0
     relation_ok = True

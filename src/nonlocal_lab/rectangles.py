@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .cyclic import indicator, product
+from .cyclic import conv, indicator, product
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -268,6 +268,8 @@ def rectangle_tradeoff_check(
     """
     if not 0 <= delta < 1:
         raise DeltaOutOfRange(f"delta must be in [0, 1), got {delta}")
+    if c < 0:
+        raise InvalidInput(f"bit count c must be >= 0, got {c}")
     lhs = Fraction(1, 2**c) * eta_n * (1 - eps / (1 - delta))
     rhs = Fraction(l**n) * r_cap
     return lhs <= rhs
@@ -293,81 +295,96 @@ class ScanResult:
     delta: Fraction
     r_cap: Fraction
     exact: bool
-    examined: int
+    examined: int  # rectangles visited; for canonical, residue vectors kept over all layers
     witness: Optional[tuple[frozenset[int], ...]]
+
+
+def _residue_pass(n: int, k: int, parts: list, vector) -> tuple[list, int]:
+    """Party-by-party pass keyed by residue vector mod 2k; each key keeps the
+    first rectangle found, as multiplicities of ``parts``. Returns the last
+    layer, keyed by (n0, n1), as (sets, n0, n1), and the keys kept in all."""
+    layer, kept = {tuple(indicator(2 * k, (0,))): (0,) * len(parts)}, 0
+    for party in range(n):
+        nxt: dict = {}
+        for vec, mult in layer.items():
+            for i, part in enumerate(parts):
+                counts = conv(vec, vector(part))
+                key = (counts[0], counts[k]) if party == n - 1 else tuple(counts)
+                if key not in nxt:
+                    nxt[key] = mult[:i] + (mult[i] + 1,) + mult[i + 1 :]
+        kept += len(nxt)
+        layer = nxt
+    return [
+        (tuple(p for p, m in zip(parts, mult) for _ in range(m)), n0, n1)
+        for (n0, n1), mult in layer.items()
+    ], kept
 
 
 def scan_rectangles(
     inst: GhzInstance,
-    delta: Fraction,
+    deltas: Sequence[Fraction],
     budget: int = DEFAULT_SCAN_BUDGET,
     mode: str = "canonical",
     samples: int = 10000,
     rng: Optional[random.Random] = None,
-) -> ScanResult:
-    """Maximum input weight over rectangles with some advantage >= delta.
-
-    Modes:
+) -> tuple[ScanResult, ...]:
+    """Maximum input weight over rectangles with some advantage >= delta:
+    one result per delta of the grid, in grid order, from one scan. Each
+    delta's witness is the first strictly heavier qualifying rectangle. Modes:
 
     * ``"lattice"``: every rectangle in the subset lattice (exact; budget
-      applies to the rectangle count).
-    * ``"canonical"``: exact as well, but enumerates only one representative
-      per party permutation. The residue counts are a convolution of the
-      per-party indicator vectors, which is order-independent, so weight,
-      bias and advantage are class functions of the subset multiset.
-      (Setting translations are NOT a sound reduction: wrapping changes the
-      integer input sum by d-k instead of d, which can change bias.)
-    * ``"sample"``: random rectangles only; the result is a lower bound on
-      the true maximum (``exact=False``).
+      applies to the rectangle count); the test oracle for ``canonical``.
+    * ``"canonical"``: exact as well. A rectangle enters the caps only
+      through its residue-count vector mod 2k, a convolution of per-party
+      indicator vectors, so ``_residue_pass`` keeps each vector once. The
+      budget applies to the party-permutation class count
+      C(n + 2**k - 2, 2**k - 1), which bounds the vectors of any layer.
+    * ``"sample"``: random rectangles, drawn once for the whole grid; the
+      results are lower bounds on the true maxima (``exact=False``).
     """
-    if not 0 <= delta <= 1:
-        raise DeltaOutOfRange(f"delta must be in [0, 1], got {delta}")
+    for delta in deltas:
+        if not 0 <= delta <= 1:
+            raise DeltaOutOfRange(f"delta must be in [0, 1], got {delta}")
+    if not deltas:
+        return ()  # nothing to fold, so nothing to scan
     n, k = inst.n, inst.k
-    denom = inst.valid_input_count()
-    best = Fraction(0)
-    witness: Optional[tuple[frozenset[int], ...]] = None
-    examined = 0
-
     # one indicator vector per distinct part, shared by every rectangle
     vector = functools.cache(lambda part: indicator(2 * k, part))
 
     if mode == "lattice":
-        total = (2**k - 1) ** n
-        if total > budget:
-            raise BudgetExceeded(f"lattice scan of {total} rectangles exceeds {budget}")
+        examined = (2**k - 1) ** n
+        if examined > budget:
+            raise BudgetExceeded(f"lattice scan of {examined} rectangles exceeds {budget}")
         rectangles = itertools.product(_subsets(k), repeat=n)
     elif mode == "canonical":
-        subsets = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
-        combos = math.comb(n + len(subsets) - 1, len(subsets) - 1)
-        if combos > budget:
-            raise BudgetExceeded(f"canonical scan of {combos} classes exceeds {budget}")
-        rectangles = itertools.combinations_with_replacement(subsets, n)
+        parts = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
+        bound = math.comb(n + len(parts) - 1, len(parts) - 1)
+        if bound > budget:
+            raise BudgetExceeded(f"canonical scan: up to {bound} vectors per layer exceed {budget}")
+        candidates, examined = _residue_pass(n, k, parts, vector)
     elif mode == "sample":
-        rng = rng or random.Random(0)
+        if samples < 1:
+            raise InvalidInput(f"need at least 1 sample, got {samples}")
         if samples > budget:
             raise BudgetExceeded(f"{samples} samples exceed budget {budget}")
-        values = list(range(k))
+        rng, values, examined = rng or random.Random(0), list(range(k)), samples
         rectangles = (
             tuple(frozenset(rng.sample(values, rng.randint(1, k))) for _ in range(n))
             for _ in range(samples)
         )
     else:
         raise InvalidInput(f"unknown scan mode {mode!r}")
+    if mode != "canonical":
+        counted = ((sets, product(map(vector, sets))) for sets in rectangles)
+        candidates = ((sets, counts[0], counts[k]) for sets, counts in counted)
 
-    for sets in rectangles:
-        examined += 1
-        counts = product(map(vector, sets))
-        n0, n1 = counts[0], counts[k]
-        if n0 + n1 and _max_advantage(n0, n1) >= delta:
-            w = Fraction(n0 + n1, denom)
-            if w > best:
-                best = w
-                witness = sets
-
-    return ScanResult(
-        delta=delta,
-        r_cap=best,
-        exact=mode in ("lattice", "canonical"),
-        examined=examined,
-        witness=witness,
+    best, witness = [0] * len(deltas), [None] * len(deltas)
+    for sets, n0, n1 in candidates:
+        for i, delta in enumerate(deltas):
+            if n0 + n1 > best[i] and _max_advantage(n0, n1) >= delta:
+                best[i], witness[i] = n0 + n1, sets
+    denom = inst.valid_input_count()
+    return tuple(
+        ScanResult(delta, Fraction(total, denom), mode != "sample", examined, w)
+        for delta, total, w in zip(deltas, best, witness)
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, Infeasible
+from .errors import BudgetExceeded, Infeasible, InvalidInput
 from .ghz import GhzInstance, broadcast_prefix_stats, ghz_problem
 from .model import (
     CorrelationProblem,
@@ -277,7 +277,6 @@ def tradeoff_table(
     delta_grid: Sequence[Fraction] = (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
     lp_budget: int = 4096,
     scan_budget: int = 1 << 24,
-    scan_mode: str = "canonical",
 ) -> TradeoffTable:
     """Achievable versus bound all-click probability over a (c, eps) grid.
 
@@ -288,10 +287,10 @@ def tradeoff_table(
     achievable entry must stay below the bound entry (checked by callers and
     the test suite; a violation would signal an implementation bug).
     """
+    if any(c < 0 for c in c_grid):
+        raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
-    scans = tuple(
-        scan_rectangles(inst, d, budget=scan_budget, mode=scan_mode) for d in delta_grid
-    )
+    scans = scan_rectangles(inst, delta_grid, budget=scan_budget)
     lp_ok = 3 ** (inst.n * inst.k) <= lp_budget  # binary outputs plus silence
     columns = detector_columns(ghz_problem(inst)) if lp_ok else None
     lp_cache: dict[Fraction, Fraction] = {}

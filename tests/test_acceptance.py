@@ -129,7 +129,7 @@ def test_criterion_4_tradeoff_inequality_soundness():
         inst = GhzInstance(n=3, k=2)
         problem = ghz_problem(inst)
         deltas = (F(1, 2), F(3, 4), F(7, 8))
-        scans = [scan_rectangles(inst, d, mode="lattice") for d in deltas]
+        scans = scan_rectangles(inst, deltas, mode="lattice")
         assert all(s.exact for s in scans)
         rng = random.Random(4321)
         for trial in range(1000):

@@ -208,6 +208,33 @@ def test_rect_scan_replay_is_bit_identical(capsys):
         assert out1 == out2  # sampling draws only from the recorded seed
 
 
+def assert_one_line_exit_two(code, out, err, name):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"{name}:")
+
+
+def test_rect_scan_rejects_a_sample_count_below_one(capsys):
+    assert_one_line_exit_two(
+        *run_cli(capsys, "rect-scan", "--n", "3", "--k", "2", "--mode", "sample",
+                 "--samples", "-5"),
+        "InvalidInput",
+    )
+
+
+def test_tradeoff_rejects_negative_bit_counts(capsys):
+    assert_one_line_exit_two(
+        *run_cli(capsys, "tradeoff", "--n", "16", "--k", "2", "--c-grid=-3",
+                 "--eps-grid", "0", "--delta-grid", "7/8"),
+        "InvalidInput",
+    )
+
+
+def test_rect_scan_over_budget_fails_at_once(capsys):
+    assert_one_line_exit_two(
+        *run_cli(capsys, "rect-scan", "--n", "24", "--k", "4"), "BudgetExceeded"
+    )
+
+
 def test_search_replay_is_bit_identical(capsys):
     code, out1, _ = run_cli(capsys, "search", "--n", "3", "--k", "2")
     code2, out2, _ = run_cli(capsys, "search", "--n", "3", "--k", "2")

@@ -3,6 +3,7 @@ correspondence, involvement, scans, and the trade-off inequality."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,35 +151,41 @@ def test_tradeoff_check_examples():
         rectangle_tradeoff_check(F(-1, 2), F(1), 0, F(1), F(0), 2, 3)
 
 
+def test_tradeoff_check_rejects_negative_bit_counts():
+    with pytest.raises(InvalidInput):
+        rectangle_tradeoff_check(F(1, 2), F(1, 4), -1, F(1), F(0), 2, 3)
+
+
 def test_scan_delta_zero_is_full_weight():
     for mode in ("lattice", "canonical"):
-        res = scan_rectangles(GhzInstance(n=3, k=2), F(0), mode=mode)
+        (res,) = scan_rectangles(GhzInstance(n=3, k=2), [F(0)], mode=mode)
         assert res.r_cap == 1 and res.exact
 
 
 def test_scan_delta_one_single_point_weight_small_instance():
     inst = GhzInstance(n=2, k=2)
-    res = scan_rectangles(inst, F(1), mode="lattice")
+    (res,) = scan_rectangles(inst, [F(1)], mode="lattice")
     assert res.r_cap == F(1, 2)  # equals the single-point weight 1/k^(n-1)
 
 
 def test_scan_modes_agree():
     for n, k in [(2, 2), (3, 2), (4, 2), (3, 4), (2, 4), (3, 3)]:
         inst = GhzInstance(n=n, k=k)
-        for delta in (F(0), F(1, 2), F(3, 4), F(7, 8), F(1)):
-            a = scan_rectangles(inst, delta, mode="lattice")
-            b = scan_rectangles(inst, delta, mode="canonical")
+        deltas = (F(0), F(1, 2), F(3, 4), F(7, 8), F(1))
+        lattice = scan_rectangles(inst, deltas, mode="lattice")
+        canonical = scan_rectangles(inst, deltas, mode="canonical")
+        sampled = scan_rectangles(
+            inst, deltas, mode="sample", samples=500, rng=random.Random(1)
+        )
+        for a, b, s in zip(lattice, canonical, sampled, strict=True):
             assert a.r_cap == b.r_cap
-            s = scan_rectangles(
-                inst, delta, mode="sample", samples=500, rng=random.Random(1)
-            )
             assert not s.exact
             assert s.r_cap <= a.r_cap
 
 
 def test_scan_witness_qualifies():
     inst = GhzInstance(n=3, k=2)
-    res = scan_rectangles(inst, F(7, 8), mode="canonical")
+    (res,) = scan_rectangles(inst, [F(7, 8)], mode="canonical")
     assert res.r_cap == F(1, 2)
     r = Rectangle(k=2, sets=res.witness)
     counts = residue_counts(r, 4)
@@ -189,7 +196,111 @@ def test_scan_witness_qualifies():
 
 def test_scan_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        scan_rectangles(GhzInstance(n=6, k=2), F(1, 2), budget=10, mode="lattice")
+        scan_rectangles(GhzInstance(n=6, k=2), [F(1, 2)], budget=10, mode="lattice")
+
+
+DEFAULT_GRID = (F(1, 2), F(3, 4), F(7, 8))
+#: a grid with both ends, and an unsorted one with a repeated threshold
+SCAN_GRIDS = (
+    (F(0), F(1, 3), F(1, 2), F(3, 4), F(7, 8), F(1)),
+    (F(7, 8), F(0), F(2, 3), F(7, 8)),
+)
+#: the 17 sizes the lattice oracle reaches within 20,000 rectangles, (2,2) to (9,2) and (2,7)
+LATTICE_SIZES = [
+    (n, k) for k in range(2, 8) for n in range(2, 10) if (2**k - 1) ** n <= 20_000
+]
+
+
+def assert_witnesses_qualify(inst, results):
+    """Each witness has weight r_cap and some advantage >= delta."""
+    for res in results:
+        counts = residue_counts(Rectangle(k=inst.k, sets=res.witness), 2 * inst.k)
+        n0, n1 = counts[0], counts[inst.k]
+        assert F(n0 + n1, inst.valid_input_count()) == res.r_cap
+        assert F(max(n0, n1), n0 + n1) >= res.delta
+
+
+@pytest.mark.parametrize("n,k", LATTICE_SIZES)
+def test_residue_pass_matches_lattice(n, k):
+    inst = GhzInstance(n=n, k=k)
+    for grid in SCAN_GRIDS:
+        lattice = scan_rectangles(inst, grid, mode="lattice")
+        canonical = scan_rectangles(inst, grid, mode="canonical")
+        assert [s.delta for s in canonical] == list(grid)
+        assert [(s.r_cap, s.exact) for s in canonical] == [(s.r_cap, True) for s in lattice]
+        assert_witnesses_qualify(inst, lattice + canonical)
+
+
+def test_witness_is_the_first_heaviest_in_lattice_order():
+    inst = GhzInstance(n=3, k=3)
+    for res in scan_rectangles(inst, SCAN_GRIDS[1], mode="lattice"):
+        for r in iter_rectangles(inst):
+            counts = residue_counts(r, 6)
+            n0, n1 = counts[0], counts[3]
+            if n0 + n1 and F(max(n0, n1), n0 + n1) >= res.delta:
+                if F(n0 + n1, inst.valid_input_count()) == res.r_cap:
+                    assert res.witness == r.sets
+                    break
+        else:
+            pytest.fail(f"no rectangle reaches r_cap {res.r_cap}")
+
+
+@pytest.mark.parametrize("mode", ["lattice", "canonical", "sample"])
+def test_grid_call_equals_single_delta_calls(mode):
+    inst = GhzInstance(n=4, k=3)
+    for grid in SCAN_GRIDS:
+        whole = scan_rectangles(inst, grid, mode=mode, samples=300, rng=random.Random(5))
+        singles = tuple(
+            scan_rectangles(inst, [d], mode=mode, samples=300, rng=random.Random(5))[0]
+            for d in grid
+        )
+        assert whole == singles
+
+
+@pytest.mark.parametrize(
+    "n,k,caps",
+    [
+        (64, 2, (F(1), F(1, 2**60), F(1, 2**62))),
+        (5, 4, (F(1), F(81, 256), F(7, 64))),
+        (6, 4, (F(1), F(183, 1024), F(19, 512))),
+        (3, 6, (F(1), F(5, 6), F(7, 12))),
+    ],
+)
+def test_canonical_caps_pinned(n, k, caps):
+    # literal caps of the class-by-class canonical enumeration this pass replaced
+    inst = GhzInstance(n=n, k=k)
+    results = scan_rectangles(inst, DEFAULT_GRID)
+    assert tuple(s.r_cap for s in results) == caps
+    assert all(s.exact for s in results)
+    assert_witnesses_qualify(inst, results)
+
+
+def test_canonical_budget_rejects_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="9669554100"):
+        scan_rectangles(GhzInstance(n=24, k=4), DEFAULT_GRID)
+    assert time.perf_counter() - start < 1
+
+
+def test_empty_grid_scans_nothing():
+    # no result to fold into, so not even an over-budget size is scanned
+    for mode in ("lattice", "canonical", "sample"):
+        assert scan_rectangles(GhzInstance(n=24, k=4), [], mode=mode) == ()
+
+
+def test_sample_draws_follow_the_given_rng():
+    inst = GhzInstance(n=4, k=3)
+    scans = [
+        scan_rectangles(inst, [F(7, 8)], mode="sample", samples=50, rng=random.Random(seed))
+        for seed in range(5)
+    ]
+    assert len({res.witness for (res,) in scans}) > 1
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sample_count_below_one_is_rejected(samples):
+    with pytest.raises(InvalidInput):
+        scan_rectangles(GhzInstance(n=3, k=2), DEFAULT_GRID, mode="sample", samples=samples)
 
 
 def test_full_involvement_bias_decreases_with_party_count():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_weights
-from nonlocal_lab.errors import BudgetExceeded, Infeasible
+from nonlocal_lab.errors import BudgetExceeded, Infeasible, InvalidInput
 from nonlocal_lab.ghz import (
     GhzInstance,
     broadcast_prefix_strategy,
@@ -264,13 +264,15 @@ def test_tradeoff_table_desk_scale_gap():
             assert row.achievable_eta_n <= row.bound_eta_n
 
 
+def test_tradeoff_table_rejects_negative_bit_counts():
+    with pytest.raises(InvalidInput):
+        tradeoff_table(GhzInstance(n=3, k=2), c_grid=[0, -3], eps_grid=[F(0)])
+
+
 def test_measured_models_respect_every_scanned_cap():
     inst = GhzInstance(n=3, k=2)
     problem = ghz_problem(inst)
-    scans = [
-        scan_rectangles(inst, d, mode="lattice")
-        for d in (F(1, 2), F(3, 4), F(7, 8))
-    ]
+    scans = scan_rectangles(inst, (F(1, 2), F(3, 4), F(7, 8)), mode="lattice")
     for prefix in range(4):
         tree = broadcast_prefix_strategy(inst, prefix)
         mp = MixedProtocol(components=((tree, F(1)),))
