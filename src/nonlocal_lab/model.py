@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -306,9 +307,14 @@ def error_probability(d: ModelDistribution, problem: CorrelationProblem) -> Frac
 
 
 def total_variation_error(d: ModelDistribution, problem: CorrelationProblem) -> Prob:
-    """Click-conditioned L1 distance between the model and the target.
+    """L1 distance between the target and the model's click mass, over eta_n:
 
-    Exact when the target is rational; float otherwise.
+        sum_x mu(x) sum_a |target(a|x) - P(a, all-click | x)| / eta_n
+
+    with ``a`` ranging over click outcomes. The model term is not conditioned
+    on clicking, so the figure is not bounded by 2 when eta_n < 1 (it is 1023
+    for the converted n=5, k=4 full broadcast). Exact when the target is
+    rational; float otherwise.
     """
     eta_n = _eta_n(d, problem)
     if eta_n == 0:
@@ -326,41 +332,93 @@ def total_variation_error(d: ModelDistribution, problem: CorrelationProblem) -> 
 
 
 def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
-    """All three metrics in one streaming pass, without materializing the
-    (possibly huge) histogram of partial-click outcomes.
+    """All three metrics, visiting each component only where it clicks.
 
-    Agrees exactly with the ``ModelDistribution`` route; only click outcomes
-    ever enter the metrics, so the per-input state stays bounded by ``l**n``.
+    A deterministic model clicks exactly on the rectangle of its per-party
+    click sets, so components are grouped by that rectangle and each group
+    adds its weights only on the supported inputs inside it; a silent or
+    unsupported rectangle costs nothing. One pass over the support then turns
+    each input's click row and target row into the figures, with
+
+        eta_n   = sum_x mu(x) P(all-click | x)
+        eps     = sum_x mu(x) sum_{a forbidden} P(a, all-click | x) / eta_n
+        eps_var = sum_x mu(x) sum_a |target(a|x) - P(a, all-click | x)| / eta_n
+
+    (``a`` ranges over click outcomes). ``eps_var`` compares the target with
+    the unconditioned click mass, so it is not bounded by 2 when eta_n < 1.
+    Agrees exactly with ``evaluate_mixed_lhv`` plus the separate metric
+    functions for rational targets.
     """
     if (m.n, m.k) != (problem.n, problem.k):
         raise ArityMismatch(
             f"model is ({m.n}, {m.k}) but problem is ({problem.n}, {problem.k})"
         )
     check_output_alphabet((lhv for lhv, _ in m.components), problem.l)
-    eta_n = ZERO
-    err = ZERO
-    var: Prob = ZERO
-    for x in problem.support:
-        w = problem.mu_weight(x)
-        click_row: dict[OutcomeVector, Fraction] = {}
-        for lhv, cw in m.components:
-            a = lhv.outputs(x)
-            if all_click(a):
-                click_row[a] = click_row.get(a, ZERO) + cw
-        target_row = problem.target.get(x, {})
-        for a, p in click_row.items():
-            eta_n += w * p
-            if problem.is_forbidden(x, a):
-                err += w * p
-        for a in set(click_row) | set(target_row):
-            if not all_click(a):
-                continue
-            var += w * abs(target_row.get(a, ZERO) - click_row.get(a, ZERO))
+    mu = problem.mu
+    support = problem.support
+    # click masses are integer numerators over the lcm of the component
+    # weights' denominators, input weights over the lcm of theirs
+    den = math.lcm(*(w.denominator for _, w in m.components))
+    mu_den = math.lcm(*(mu[x].denominator for x in support))
+    click_sets: dict[tuple[Entry, ...], tuple[int, ...]] = {}  # per distinct table
+    groups: dict[tuple[tuple[int, ...], ...], list[tuple[DeterministicLhv, int]]] = {}
+    for lhv, w in m.components:
+        for t in lhv.tables:
+            if t not in click_sets:
+                click_sets[t] = tuple(v for v, e in enumerate(t) if e is not None)
+        rect = tuple(map(click_sets.__getitem__, lhv.tables))
+        groups.setdefault(rect, []).append((lhv, w.numerator * (den // w.denominator)))
+    click_rows: dict[InputVector, dict[OutcomeVector, int]] = {}
+    for rect, comps in groups.items():
+        # an empty click set makes the product empty: nothing to visit
+        if math.prod(map(len, rect)) <= len(support):
+            inside = [x for x in itertools.product(*rect) if mu.get(x, ZERO) > 0]
+        else:
+            inside = [x for x in support if all(v in c for v, c in zip(x, rect))]
+        for x in inside:
+            row = click_rows.setdefault(x, {})
+            for lhv, w in comps:
+                a = lhv.outputs(x)
+                row[a] = row.get(a, 0) + w
+    # eps_var * eta_n = sum_x mu(x) sum_a |target(a|x)| plus, over the clicked
+    # (x, a), mu(x) (|target(a|x) - P(a, all-click|x)| - |target(a|x)|); the
+    # first sum is taken once per distinct target row object
+    rows: dict[int, Mapping[OutcomeVector, Prob]] = {}
+    row_weight: dict[int, int] = {}
+    click_num = 0
+    wrong_num = 0
+    var_clicked: Prob = ZERO
+    for x in support:
+        wx = mu[x]
+        w = wx.numerator * (mu_den // wx.denominator)
+        target_row = problem.target[x]
+        rows[id(target_row)] = target_row
+        row_weight[id(target_row)] = row_weight.get(id(target_row), 0) + w
+        click_row = click_rows.get(x)
+        if not click_row:
+            continue
+        clicks = 0
+        wrong = 0
+        dev: Prob = ZERO
+        for a, num in click_row.items():
+            t = target_row.get(a, ZERO)
+            clicks += num
+            if t == 0:
+                wrong += num
+            dev += abs(t - Fraction(num, den)) - abs(t)
+        click_num += w * clicks
+        wrong_num += w * wrong
+        var_clicked += wx * dev
+    eta_n = Fraction(click_num, mu_den * den)
+    var = var_clicked
+    for key, row in rows.items():
+        mass = sum(abs(p) for a, p in row.items() if all_click(a))
+        var += mass * Fraction(row_weight[key], mu_den)
     if eta_n == 0:
         raise DivisionByZeroEfficiency("no all-click events, metrics undefined")
     return ModelMetrics(
         eta_n=eta_n,
         eta=float(eta_n) ** (1.0 / problem.n),
-        eps=err / eta_n,
+        eps=Fraction(wrong_num, mu_den * den) / eta_n,
         eps_var=var / eta_n,
     )

@@ -12,7 +12,7 @@ the per-node ``ceil(log2(children))`` charges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Union
 
@@ -58,6 +58,10 @@ class Edge:
 class Node:
     party: int
     edges: tuple[Edge, ...]
+    #: leaves under the edges before each edge, then the node's leaf count
+    #: (one entry more than ``edges``), so :func:`execute` reads a leaf's
+    #: preorder index without counting subtrees
+    leaf_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -65,6 +69,11 @@ class Node:
             raise MalformedTree("party index must be nonnegative")
         if not self.edges:
             raise MalformedTree("internal nodes need at least one edge")
+        offsets = [0]
+        for e in self.edges:
+            below = e.child.leaf_offsets[-1] if isinstance(e.child, Node) else 1
+            offsets.append(offsets[-1] + below)
+        object.__setattr__(self, "leaf_offsets", tuple(offsets))
 
 
 @dataclass(frozen=True)
@@ -150,25 +159,16 @@ def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, Outcome]:
     if len(x) != tree.n or any(not (0 <= v < tree.k) for v in x):
         raise ArityMismatch(f"input {x} outside {{0..{tree.k - 1}}}^{tree.n}")
 
-    def leaf_count(v: Union[Node, Leaf]) -> int:
-        if isinstance(v, Leaf):
-            return 1
-        return sum(leaf_count(e.child) for e in v.edges)
-
     v: Union[Node, Leaf] = tree.root
     index = 0
     while isinstance(v, Node):
-        matches = [e for e in v.edges if x[v.party] in e.inputs]
+        matches = [j for j, e in enumerate(v.edges) if x[v.party] in e.inputs]
         if len(matches) != 1:
             raise MalformedTree(
                 f"input {x[v.party]} of party {v.party} selects {len(matches)} edges"
             )
-        chosen = matches[0]
-        for e in v.edges:
-            if e is chosen:
-                break
-            index += leaf_count(e.child)
-        v = chosen.child
+        index += v.leaf_offsets[matches[0]]
+        v = v.edges[matches[0]].child
     return index, Outcome(values=v.lhv.outputs(x))
 
 

@@ -33,9 +33,19 @@ def fraction_to_json(q: Fraction) -> dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
+def _int_from_json(v: Any, what: str) -> int:
+    """A JSON int. ``bool`` subclasses ``int`` in Python, so ``true`` and
+    ``false`` are rejected explicitly."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvalidInput(f"{what} must be an int, got {v!r}")
+    return v
+
+
 def fraction_from_json(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise InvalidInput(f"not a rational payload: {obj!r}")
+    if any(isinstance(v, (bool, float)) for v in obj.values()):
+        raise InvalidInput(f"num and den must be integer strings: {obj!r}")
     return Fraction(int(obj["num"]), int(obj["den"]))
 
 
@@ -55,7 +65,7 @@ def entry_to_json(v: Union[int, None]) -> Any:
 def entry_from_json(v: Any) -> Union[int, None]:
     if v == NULL_CLICK:
         return None
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise InvalidInput(f"outcome entries must be ints or {NULL_CLICK!r}, got {v!r}")
 
@@ -179,9 +189,12 @@ def _tree_node_from_json(obj: Any) -> Union[Node, Leaf]:
         return Leaf(lhv=lhv_from_json(obj["leaf"]))
     node = obj["node"]
     return Node(
-        party=node["party"],
+        party=_int_from_json(node["party"], "party"),
         edges=tuple(
-            Edge(inputs=frozenset(e["inputs"]), child=_tree_node_from_json(e["child"]))
+            Edge(
+                inputs=frozenset(_int_from_json(v, "edge input") for v in e["inputs"]),
+                child=_tree_node_from_json(e["child"]),
+            )
             for e in node["edges"]
         ),
     )
@@ -192,7 +205,11 @@ def tree_to_json(t: ProtocolTree) -> dict:
 
 
 def tree_from_json(obj: Any) -> ProtocolTree:
-    return ProtocolTree(n=obj["n"], k=obj["k"], root=_tree_node_from_json(obj["root"]))
+    return ProtocolTree(
+        n=_int_from_json(obj["n"], "n"),
+        k=_int_from_json(obj["k"], "k"),
+        root=_tree_node_from_json(obj["root"]),
+    )
 
 
 def mixed_protocol_to_json(m: MixedProtocol) -> dict:

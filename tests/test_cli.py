@@ -296,6 +296,49 @@ def test_protocol_run_rejects_outputs_outside_the_alphabet(tmp_path, capsys):
         assert "output 2 outside {0..1}" in result[2]
 
 
+def test_json_booleans_are_bad_input(tmp_path, capsys):
+    # bool subclasses int: tables [[true, false], ...] used to score eps 3/4
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "components": [
+                    {
+                        "model": {"tables": [[True, False], [0, 1], [1, 0]]},
+                        "weight": {"num": "1", "den": "1"},
+                    }
+                ]
+            }
+        )
+    )
+    result = run_cli(capsys, "lhv-eval", "--n", "3", "--k", "2", "--model", str(model))
+    assert_bad_input(*result)
+    assert "got True" in result[2]
+    leaf = {"leaf": {"tables": [[0, 0], [0, 1]]}}
+    tree = tmp_path / "tree.json"
+    tree.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "k": 2,
+                "root": {
+                    "node": {
+                        "party": True,
+                        "edges": [
+                            {"inputs": [False], "child": leaf},
+                            {"inputs": [1], "child": leaf},
+                        ],
+                    }
+                },
+            }
+        )
+    )
+    for extra in ([], ["--evaluate"]):
+        result = run_cli(capsys, "protocol-run", "--tree", str(tree), *extra)
+        assert_bad_input(*result)
+        assert "party must be an int, got True" in result[2]
+
+
 BAD_FILES = {
     "missing": None,
     "not JSON": "{not json",

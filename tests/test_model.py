@@ -246,3 +246,164 @@ def test_metrics_reject_outputs_outside_the_alphabet():
     for route in (mixed_lhv_metrics, evaluate_mixed_lhv):
         with pytest.raises(InvalidInput, match="output 7 outside"):
             route(m, problem)
+
+
+# --- grouped metrics against the ModelDistribution route --------------------
+
+
+def oracle_metrics(m, problem):
+    """The slow route: the full induced distribution, then each metric."""
+    d = evaluate_mixed_lhv(m, problem)
+    eff = detection_efficiency(d, problem)
+    if eff.eta_n == 0:
+        with pytest.raises(DivisionByZeroEfficiency):
+            error_probability(d, problem)
+        with pytest.raises(DivisionByZeroEfficiency):
+            total_variation_error(d, problem)
+        return None
+    return eff.eta_n, eff.eta, error_probability(d, problem), total_variation_error(d, problem)
+
+
+def assert_metrics_match(m, problem, tol=None):
+    expected = oracle_metrics(m, problem)
+    if expected is None:
+        with pytest.raises(DivisionByZeroEfficiency):
+            mixed_lhv_metrics(m, problem)
+        return False
+    met = mixed_lhv_metrics(m, problem)
+    if tol is None:
+        assert (met.eta_n, met.eta, met.eps, met.eps_var) == expected
+    else:
+        assert (met.eta_n, met.eta, met.eps) == expected[:3]
+        assert abs(met.eps_var - expected[3]) <= tol
+    return True
+
+
+def rectangle_lhv(rng, rect, k, l=2):
+    """A model that clicks exactly on the rectangle ``rect`` (one click set
+    per party), with random outputs there."""
+    return DeterministicLhv(
+        tables=tuple(
+            tuple(rng.randrange(l) if v in clicks else None for v in range(k))
+            for clicks in rect
+        )
+    )
+
+
+def random_rectangle(rng, n, k):
+    return tuple(
+        frozenset(v for v in range(k) if rng.random() < 0.5) or frozenset({rng.randrange(k)})
+        for _ in range(n)
+    )
+
+
+def random_grouped_mixture(rng, n, k, support):
+    """Components drawn from a few rectangles, so that several share one:
+    the full rectangle, random ones, a point inside the support, a point
+    outside it when there is one, and now and then the silent model."""
+    inside = set(support)
+    outside = [x for x in itertools.product(range(k), repeat=n) if x not in inside]
+    pool = [tuple(frozenset(range(k)) for _ in range(n))]
+    pool += [random_rectangle(rng, n, k) for _ in range(2)]
+    pool.append(tuple(frozenset({v}) for v in rng.choice(support)))
+    if outside:
+        pool.append(tuple(frozenset({v}) for v in rng.choice(outside)))
+    models = [rectangle_lhv(rng, rng.choice(pool), k) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.3:
+        models.append(const_lhv(n, k, None))
+    raw = [rng.randint(1, 9) for _ in models]
+    return MixedLhv(components=tuple((lhv, F(w, sum(raw))) for lhv, w in zip(models, raw)))
+
+
+GHZ_SIZES = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4)]
+
+
+@pytest.mark.parametrize("n,k", GHZ_SIZES)
+def test_grouped_metrics_match_oracle_on_ghz(n, k):
+    rng = random.Random(1000 * n + k)
+    problem = ghz_problem(GhzInstance(n=n, k=k))
+    support = problem.support
+    trials = 25 if len(support) <= 64 else 8  # the oracle takes ~0.1 s at (5, 4)
+    checked = 0
+    for _ in range(trials):
+        checked += assert_metrics_match(random_grouped_mixture(rng, n, k, support), problem)
+    assert checked > trials // 3
+
+
+def test_grouped_metrics_without_any_click():
+    # silent, unsupported and mixed-silent components: no click mass at all
+    problem = ghz_problem(GhzInstance(n=3, k=2))
+    unsupported = DeterministicLhv(tables=((0, None), (0, None), (None, 1)))  # only (0,0,1)
+    assert not problem.mu_weight((0, 0, 1))
+    for comps in (
+        ((const_lhv(3, 2, None), F(1)),),
+        ((unsupported, F(1)),),
+        ((unsupported, F(1, 3)), (const_lhv(3, 2, None), F(2, 3))),
+    ):
+        assert not assert_metrics_match(MixedLhv(components=comps), problem)
+
+
+def sparse_problem(rng, n, k, exact=True):
+    """Random weights with zero-weight inputs and random target rows, rational
+    or float."""
+    inputs = list(itertools.product(range(k), repeat=n))
+    raw = [rng.choice([0, 0, 1, 2, 3]) for _ in inputs]
+    raw[0] = raw[0] or 1
+    mu = {x: F(r, sum(raw)) for x, r in zip(inputs, raw)}
+    outcomes = list(itertools.product(range(2), repeat=n))
+    target = {}
+    for x in inputs:
+        cells = [rng.randint(0, 4) for _ in outcomes]
+        cells[0] += 1
+        if exact:
+            target[x] = {a: F(c, sum(cells)) for a, c in zip(outcomes, cells) if c}
+        else:
+            target[x] = {a: c / sum(cells) for a, c in zip(outcomes, cells) if c}
+    return CorrelationProblem(n=n, k=k, l=2, mu=mu, target=target)
+
+
+def test_grouped_metrics_on_a_sparse_input_distribution():
+    rng = random.Random(41)
+    n, k = 3, 3
+    problem = sparse_problem(rng, n, k)
+    support = problem.support
+    assert 1 < len(support) < k**n  # zero-weight inputs exist
+    full = tuple(frozenset(range(k)) for _ in range(n))  # larger than the support
+    point = tuple(frozenset({v}) for v in problem.support[0])  # smaller
+    for rect in (full, point):
+        lhvs = [rectangle_lhv(rng, rect, k) for _ in range(3)]
+        m = MixedLhv(components=tuple((lhv, F(1, 3)) for lhv in lhvs))
+        assert assert_metrics_match(m, problem)
+    checked = 0
+    for _ in range(40):
+        checked += assert_metrics_match(random_grouped_mixture(rng, n, k, support), problem)
+    assert checked > 20
+
+
+def test_grouped_metrics_with_a_float_target():
+    rng = random.Random(43)
+    problem = sparse_problem(rng, 3, 2, exact=False)
+    support = problem.support
+    checked = 0
+    for _ in range(40):
+        m = random_grouped_mixture(rng, 3, 2, support)
+        checked += assert_metrics_match(m, problem, tol=1e-12)
+    assert checked > 20
+
+
+def test_converted_broadcast_metrics_pinned():
+    from nonlocal_lab.ghz import broadcast_strategy, broadcast_strategy_mixed
+    from nonlocal_lab.protocol import MixedProtocol, to_detector_model
+
+    inst = GhzInstance(n=5, k=4)
+    tree = broadcast_strategy(inst)
+    detector = to_detector_model(MixedProtocol(components=((tree, F(1)),)))
+    met = mixed_lhv_metrics(detector, ghz_problem(inst))
+    assert (met.eta_n, met.eps, met.eps_var) == (F(1, 1024), 0, 1023)
+
+    inst = GhzInstance(n=4, k=4)
+    problem = ghz_problem(inst)
+    detector = to_detector_model(broadcast_strategy_mixed(inst))
+    met = mixed_lhv_metrics(detector, problem)
+    assert (met.eta_n, met.eps, met.eps_var) == (F(1, 256), 0, 255)
+    assert assert_metrics_match(detector, problem)

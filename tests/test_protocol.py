@@ -9,7 +9,13 @@ import pytest
 
 from conftest import random_mixed_protocol, random_tree
 from nonlocal_lab.errors import ArityMismatch, FlavorMismatch, MalformedTree
-from nonlocal_lab.ghz import GhzInstance, broadcast_strategy, ghz_problem, promise_bit
+from nonlocal_lab.ghz import (
+    GhzInstance,
+    broadcast_strategy,
+    broadcast_strategy_mixed,
+    ghz_problem,
+    promise_bit,
+)
 from nonlocal_lab.model import (
     DeterministicLhv,
     all_click,
@@ -139,17 +145,32 @@ def test_cost_is_worst_case_path_sum():
     assert sorted(details.per_leaf) == [1, 2, 2]
 
 
+def assert_execution_reaches_preorder_leaf(tree):
+    """``execute`` returns the preorder index of the leaf whose input sets
+    contain ``x``, and that leaf's outputs."""
+    leaves = tree.leaves()
+    # leaf_input_sets skips leaves no input reaches, so match leaves by identity
+    sets_of = {id(leaf): sets for leaf, sets in tree.leaf_input_sets()}
+    for x in itertools.product(range(tree.k), repeat=tree.n):
+        leaf_id, outcome = execute(tree, x)
+        assert 0 <= leaf_id < len(leaves)
+        assert all(v in s for v, s in zip(x, sets_of[id(leaves[leaf_id])]))
+        assert leaves[leaf_id].lhv.outputs(x) == outcome.values
+
+
 def test_partition_soundness_random_trees():
     rng = random.Random(5)
     for _ in range(60):
         n, k = rng.choice([(2, 2), (3, 2), (2, 3), (3, 3)])
         tree = random_tree(rng, n, k)
         tree.validate_partitions()
-        leaf_count = len(tree.leaves())
-        for x in itertools.product(range(k), repeat=n):
-            leaf_id, outcome = execute(tree, x)
-            assert 0 <= leaf_id < leaf_count
-            assert len(outcome.values) == n
+        assert_execution_reaches_preorder_leaf(tree)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3), (3, 4)])
+def test_execution_leaf_index_on_mixed_broadcast_trees(n, k):
+    for tree, _ in broadcast_strategy_mixed(GhzInstance(n=n, k=k)).components:
+        assert_execution_reaches_preorder_leaf(tree)
 
 
 def test_induced_distribution_point_mass_and_average():

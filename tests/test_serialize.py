@@ -108,3 +108,33 @@ def test_number_to_json_infinity():
     assert serialize.number_to_json(float("inf")) == "inf"
     assert serialize.number_to_json(F(1, 3)) == {"num": "1", "den": "3"}
     assert serialize.number_to_json(0.5) == 0.5
+
+
+def test_booleans_are_not_ints():
+    # bool subclasses int, so each codec field rejects true/false explicitly
+    for entry in (True, False):
+        with pytest.raises(InvalidInput):
+            serialize.entry_from_json(entry)
+    for bad in ({"num": True, "den": "1"}, {"num": "1", "den": True}, {"num": 0.5, "den": "1"}):
+        with pytest.raises(InvalidInput):
+            serialize.fraction_from_json(bad)
+    leaf = {"leaf": {"tables": [[0, 0], [0, 1]]}}
+    good = {
+        "n": 2,
+        "k": 2,
+        "root": {"node": {"party": 0, "edges": [{"inputs": [0, 1], "child": leaf}]}},
+    }
+    assert serialize.tree_from_json(good).n == 2
+    for path, value in (
+        (("n",), True),
+        (("k",), True),
+        (("root", "node", "party"), False),
+        (("root", "node", "edges", 0, "inputs", 0), False),
+    ):
+        bad = json.loads(json.dumps(good))
+        cell = bad
+        for key in path[:-1]:
+            cell = cell[key]
+        cell[path[-1]] = value
+        with pytest.raises(InvalidInput):
+            serialize.tree_from_json(bad)
