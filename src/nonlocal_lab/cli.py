@@ -21,7 +21,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import cyclic, ghz, model, protocol, rectangles, search, serialize
 from .errors import (
@@ -119,22 +119,6 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
         "passed": passed,
     }
     return report, passed
-
-
-def _quantum_csv(report: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["x", "a", "quantum", "target"])
-    for row in report.get("table") or []:
-        w.writerow(
-            [
-                " ".join(map(str, row["x"])),
-                " ".join(map(str, row["a"])),
-                repr(row["quantum"]),
-                str(row["target"]),
-            ]
-        )
-    return buf.getvalue()
 
 
 def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -253,18 +237,12 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     return report, passed
 
 
-def _rect_csv(report: dict) -> str:
-    if report.get("stats_csv"):
-        return report["stats_csv"]
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["delta", "r_cap", "exact", "examined"])
-    for s in report["scans"]:
-        w.writerow([str(s["delta"]), str(s["r_cap"]), s["exact"], s["examined"]])
-    return buf.getvalue()
-
-
 def cmd_addition(args: argparse.Namespace) -> tuple[dict, bool]:
+    if args.t > 0 and args.r * args.t > args.budget:  # each draw holds up to T elements
+        raise BudgetExceeded(
+            f"r*T = {args.r * args.t} exceeds budget {args.budget}; "
+            f"the largest r that fits is {args.budget // args.t}"
+        )
     rng = random.Random(args.seed)
     general_sets = cyclic.random_subsets(args.t, args.r, rng, min_size=2)
     addition = cyclic.verify_addition_theorem(args.t, general_sets)
@@ -344,26 +322,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[dict, bool]:
     return report, passed
 
 
-def _tradeoff_csv(report: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(
-        ["c", "eps", "achievable_eta_n", "achievable_source", "bound_eta_n", "consistent"]
-    )
-    for row in report["rows"]:
-        w.writerow(
-            [
-                row["c"],
-                str(row["eps"]),
-                "" if row["achievable_eta_n"] is None else str(row["achievable_eta_n"]),
-                row["achievable_source"],
-                "" if row["bound_eta_n"] is None else str(row["bound_eta_n"]),
-                row["consistent"],
-            ]
-        )
-    return buf.getvalue()
-
-
 def _protocol_from_json(payload: Any) -> protocol.MixedProtocol:
     if "components" in payload:
         return serialize.mixed_protocol_from_json(payload)
@@ -373,14 +331,12 @@ def _protocol_from_json(payload: Any) -> protocol.MixedProtocol:
 
 def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
     mixed = _load_json(args.tree, _protocol_from_json)
-    for tree, _ in mixed.components:
-        tree.validate_partitions()
     model.check_output_alphabet(
         (leaf.lhv for tree, _ in mixed.components for leaf in tree.leaves()),
         ghz.OUTPUTS,
     )
     costs = [protocol.cost_details(t) for t, _ in mixed.components]
-    c = protocol.mixed_cost(mixed)
+    c = max(cd.worst_case for cd in costs)
     report: dict[str, Any] = {
         "command": "protocol-run",
         "params": {"tree": args.tree, "n": mixed.n, "k": mixed.k},
@@ -447,17 +403,42 @@ def _key_value_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-_CSV_RENDERERS = {
-    "quantum": _quantum_csv,
-    "rect-scan": _rect_csv,
-    "tradeoff": _tradeoff_csv,
+#: per command, the report field holding its CSV table and the columns written
+_CSV_TABLES = {
+    "quantum": ("table", ("x", "a", "quantum", "target")),
+    "rect-scan": ("scans", ("delta", "r_cap", "exact", "examined")),
+    "tradeoff": (
+        "rows",
+        ("c", "eps", "achievable_eta_n", "achievable_source", "bound_eta_n", "consistent"),
+    ),
 }
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _table_csv(report: dict, field: str, columns: Sequence[str]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(columns)
+    for row in report[field] or []:
+        w.writerow([_csv_cell(row[c]) for c in columns])
+    return buf.getvalue()
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.format == "csv":
-        renderer = _CSV_RENDERERS.get(report["command"], _key_value_csv)
-        text = renderer(report)
+        if report.get("stats_csv"):  # rect-scan's per-rectangle table, when small
+            text = report["stats_csv"]
+        elif report["command"] in _CSV_TABLES:
+            text = _table_csv(report, *_CSV_TABLES[report["command"]])
+        else:
+            text = _key_value_csv(report)
     else:
         text = serialize.dumps(_jsonify(report)) + "\n"
     if args.out:
@@ -471,7 +452,6 @@ def _add_common(p: argparse.ArgumentParser, need_nk: bool = True) -> None:
     if need_nk:
         p.add_argument("--n", type=int, required=True, help="number of parties")
         p.add_argument("--k", type=int, required=True, help="settings per party")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded for replay")
     p.add_argument(
         "--budget",
         type=int,
@@ -482,8 +462,15 @@ def _add_common(p: argparse.ArgumentParser, need_nk: bool = True) -> None:
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one line, like every other bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonlocal-lab",
         description="Desk-scale, exactly-verified multiparty nonlocality experiments",
     )
@@ -511,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rect-scan", help="rectangle weight caps per advantage threshold")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed recorded for replay")
     p.add_argument("--delta-grid", type=_grid_arg, default="1/2,3/4,7/8")
     p.add_argument("--mode", choices=("canonical", "lattice", "sample"), default="canonical")
     p.add_argument("--samples", type=int, default=10000)
@@ -520,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="cyclic group order (power of two)")
     p.add_argument("--r", type=int, required=True, help="number of random subsets")
     _add_common(p, need_nk=False)
+    p.add_argument("--seed", type=int, default=0, help="seed recorded for replay")
     p.set_defaults(fn=cmd_addition)
 
     p = sub.add_parser("tradeoff", help="achievable vs bound efficiency table")

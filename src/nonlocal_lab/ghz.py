@@ -297,27 +297,16 @@ def broadcast_prefix_strategy(inst: GhzInstance, prefix: int) -> ProtocolTree:
     if not 0 <= prefix <= n:
         raise InvalidInput(f"prefix {prefix} outside 0..{n}")
     zeros = tuple(0 for _ in range(k))
-
-    if prefix == n:
-        suffix_counts = _full_sum_counts(0, 2 * k, k)
-
-        def full_leaf_tables(head: tuple[int, ...]):
-            bit, _ = _majority_bit(inst, sum(head) % (2 * k), suffix_counts)
-            return (tuple(bit for _ in range(k)),) + tuple(zeros for _ in range(n - 1))
-
-        return _chain_tree(inst, n, full_leaf_tables)
-
-    answerer = prefix
-    suffix_counts = _full_sum_counts(n - prefix - 1, 2 * k, k)
+    answerer = prefix if prefix < n else 0
+    # when everyone broadcasts, the answerer's own setting is already in the head
+    own = range(k) if prefix < n else zeros
+    suffix_counts = _full_sum_counts(n - min(prefix + 1, n), 2 * k, k)
+    majority = [_majority_bit(inst, sigma, suffix_counts)[0] for sigma in range(2 * k)]
 
     def leaf_tables(head: tuple[int, ...]):
-        sigma = sum(head) % (2 * k)
-        guesses = tuple(
-            _majority_bit(inst, (sigma + v) % (2 * k), suffix_counts)[0] for v in range(k)
-        )
-        return tuple(
-            guesses if i == answerer else zeros for i in range(n)
-        )
+        sigma = sum(head)
+        guesses = tuple(majority[(sigma + v) % (2 * k)] for v in own)
+        return tuple(guesses if i == answerer else zeros for i in range(n))
 
     return _chain_tree(inst, prefix, leaf_tables)
 

@@ -11,10 +11,9 @@ the per-node ``ceil(log2(children))`` charges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Iterator, Literal, Union
 
 from .errors import ArityMismatch, FlavorMismatch, InvalidInput, MalformedTree
 from .model import (
@@ -85,76 +84,56 @@ class ProtocolTree:
     root: Union[Node, Leaf]
 
     def __post_init__(self) -> None:
-        for node in self._nodes():
-            if node.party >= self.n:
-                raise ArityMismatch(f"node speaks for party {node.party} but n={self.n}")
-            for e in node.edges:
-                if any(not (0 <= v < self.k) for v in e.inputs):
-                    raise ArityMismatch("edge block outside the input range")
-        for leaf in self.leaves():
-            if (leaf.lhv.n, leaf.lhv.k) != (self.n, self.k):
-                raise ArityMismatch("leaf model shape differs from the tree's (n, k)")
-
-    def _nodes(self) -> list[Node]:
-        out: list[Node] = []
+        full = frozenset(range(self.k))
         stack = [self.root]
         while stack:
             v = stack.pop()
-            if isinstance(v, Node):
-                out.append(v)
-                stack.extend(e.child for e in v.edges)
-        return out
+            if isinstance(v, Leaf):
+                if (v.lhv.n, v.lhv.k) != (self.n, self.k):
+                    raise ArityMismatch("leaf model shape differs from the tree's (n, k)")
+                continue
+            if v.party >= self.n:
+                raise ArityMismatch(f"node speaks for party {v.party} but n={self.n}")
+            if any(not e.inputs <= full for e in v.edges):
+                raise ArityMismatch("edge block outside the input range")
+            # the blocks partition the speaker's settings, so every input
+            # selects exactly one edge
+            covered = frozenset().union(*(e.inputs for e in v.edges))
+            if sum(len(e.inputs) for e in v.edges) != len(covered):
+                raise MalformedTree(f"overlapping blocks at party {v.party}")
+            if covered != full:
+                raise MalformedTree(f"blocks at party {v.party} do not cover inputs")
+            stack.extend(e.child for e in reversed(v.edges))
+
+    def _walk(self) -> Iterator[tuple[Leaf, tuple[frozenset[int], ...], int]]:
+        """Each leaf in preorder (left to right), with the per-party input
+        sets consistent with its path (empty when no input reaches it) and
+        the bits charged on that path."""
+        stack = [(self.root, (frozenset(range(self.k)),) * self.n, 0)]
+        while stack:
+            v, sets, bits = stack.pop()
+            if isinstance(v, Leaf):
+                yield v, sets, bits
+                continue
+            p = v.party
+            bits += (len(v.edges) - 1).bit_length()  # ceil(log2(children))
+            for e in reversed(v.edges):
+                stack.append((e.child, sets[:p] + (sets[p] & e.inputs,) + sets[p + 1 :], bits))
 
     def leaves(self) -> list[Leaf]:
         """Leaves in stable (preorder, left-to-right) order."""
-        out: list[Leaf] = []
-
-        def walk(v: Union[Node, Leaf]) -> None:
-            if isinstance(v, Leaf):
-                out.append(v)
-            else:
-                for e in v.edges:
-                    walk(e.child)
-
-        walk(self.root)
-        return out
+        return [leaf for leaf, _, _ in self._walk()]
 
     def leaf_input_sets(self) -> list[tuple[Leaf, tuple[frozenset[int], ...]]]:
-        """Each leaf with the per-party input sets consistent with its path."""
-        full = frozenset(range(self.k))
-        out: list[tuple[Leaf, tuple[frozenset[int], ...]]] = []
-
-        def walk(v: Union[Node, Leaf], sets: tuple[frozenset[int], ...]) -> None:
-            if isinstance(v, Leaf):
-                out.append((v, sets))
-                return
-            for e in v.edges:
-                nxt = list(sets)
-                nxt[v.party] = nxt[v.party] & e.inputs
-                if nxt[v.party]:
-                    walk(e.child, tuple(nxt))
-
-        walk(self.root, tuple(full for _ in range(self.n)))
-        return out
-
-    def validate_partitions(self) -> None:
-        """Check every node's edge blocks are disjoint and cover {0..k-1}."""
-        for node in self._nodes():
-            seen: set[int] = set()
-            for e in node.edges:
-                if seen & e.inputs:
-                    raise MalformedTree(f"overlapping blocks at party {node.party}")
-                seen |= e.inputs
-            if seen != set(range(self.k)):
-                raise MalformedTree(f"blocks at party {node.party} do not cover inputs")
+        """Each leaf some input reaches, with the per-party input sets
+        consistent with its path."""
+        return [(leaf, sets) for leaf, sets, _ in self._walk() if all(sets)]
 
 
 def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, Outcome]:
     """Walk the unique root-to-leaf path selected by ``x``.
 
-    Returns the (preorder) leaf index and the joint outcome. Raises
-    ``MalformedTree`` if a visited node's blocks fail to select exactly one
-    edge for the speaking party's input.
+    Returns the (preorder) leaf index and the joint outcome.
     """
     if len(x) != tree.n or any(not (0 <= v < tree.k) for v in x):
         raise ArityMismatch(f"input {x} outside {{0..{tree.k - 1}}}^{tree.n}")
@@ -162,13 +141,13 @@ def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, Outcome]:
     v: Union[Node, Leaf] = tree.root
     index = 0
     while isinstance(v, Node):
-        matches = [j for j, e in enumerate(v.edges) if x[v.party] in e.inputs]
-        if len(matches) != 1:
-            raise MalformedTree(
-                f"input {x[v.party]} of party {v.party} selects {len(matches)} edges"
-            )
-        index += v.leaf_offsets[matches[0]]
-        v = v.edges[matches[0]].child
+        own = x[v.party]
+        # the tree's blocks partition each speaker's settings: one holds ``own``
+        for j, e in enumerate(v.edges):
+            if own in e.inputs:
+                break
+        index += v.leaf_offsets[j]
+        v = e.child
     return index, Outcome(values=v.lhv.outputs(x))
 
 
@@ -181,18 +160,8 @@ class CostReport:
 
 
 def cost_details(tree: ProtocolTree) -> CostReport:
-    per_leaf: list[int] = []
-
-    def walk(v: Union[Node, Leaf], acc: int) -> None:
-        if isinstance(v, Leaf):
-            per_leaf.append(acc)
-            return
-        charge = math.ceil(math.log2(len(v.edges))) if len(v.edges) > 1 else 0
-        for e in v.edges:
-            walk(e.child, acc + charge)
-
-    walk(tree.root, 0)
-    return CostReport(worst_case=max(per_leaf), per_leaf=tuple(per_leaf))
+    per_leaf = tuple(bits for _, _, bits in tree._walk())
+    return CostReport(worst_case=max(per_leaf), per_leaf=per_leaf)
 
 
 def cost(tree: ProtocolTree) -> int:
@@ -272,21 +241,27 @@ def to_detector_model(m: MixedProtocol) -> MixedLhv:
     """
     if m.flavor != SHARED:
         raise FlavorMismatch("conversion requires the shared-randomness flavor")
-    c = mixed_cost(m)
+    k = m.k
+    c = 0
+    components: list[tuple[DeterministicLhv, Fraction]] = []  # tree weights until c is known
+    claimed_mass = ZERO
+    for tree, w in m.components:
+        before = len(components)
+        for leaf, sets, bits in tree._walk():
+            c = max(c, bits)
+            if all(sets):
+                tables = tuple(
+                    tuple(leaf.lhv.tables[i][v] if v in sets[i] else None for v in range(k))
+                    for i in range(m.n)
+                )
+                components.append((DeterministicLhv(tables=tables), w))
+        claimed_mass += w * (len(components) - before)
     guesses = 1 << c
     slot = Fraction(1, guesses)
-    k = m.k
-    components: list[tuple[DeterministicLhv, Fraction]] = []
-    silent_weight = ZERO
-    for tree, w in m.components:
-        claimed = tree.leaf_input_sets()
-        for leaf, sets in claimed:
-            tables = tuple(
-                tuple(leaf.lhv.tables[i][v] if v in sets[i] else None for v in range(k))
-                for i in range(m.n)
-            )
-            components.append((DeterministicLhv(tables=tables), w * slot))
-        silent_weight += w * slot * (guesses - len(claimed))
+    for j, (lhv, w) in enumerate(components):
+        components[j] = (lhv, w * slot)
+    # the tree weights sum to 1, so this is the mass of the unclaimed transcripts
+    silent_weight = slot * (guesses - claimed_mass)
     if silent_weight > 0:
         silent = DeterministicLhv(tables=tuple(tuple(None for _ in range(k)) for _ in range(m.n)))
         components.append((silent, silent_weight))

@@ -37,6 +37,9 @@ INFINITE = math.inf
 
 #: default cap on the number of rectangles an exhaustive scan may visit
 DEFAULT_SCAN_BUDGET = 1 << 24
+#: advantage_bias_relation recomputes the advantage generically only when
+#: valid inputs times click outcomes number at most this many
+_CROSS_CHECK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,7 @@ class BiasAdvantageReport:
     passed: bool
 
 
-def advantage_bias_relation(
-    r: Rectangle, inst: GhzInstance, cross_check_budget: int = 1 << 20
-) -> BiasAdvantageReport:
+def advantage_bias_relation(r: Rectangle, inst: GhzInstance) -> BiasAdvantageReport:
     """Verify that bias <= delta holds exactly when every click outcome has
     advantage at most (1+delta)/(2+delta).
 
@@ -172,7 +173,7 @@ def advantage_bias_relation(
 
     work = inst.valid_input_count() * 2**inst.n
     cross_checked = False
-    if passed and work <= cross_check_budget:
+    if passed and work <= _CROSS_CHECK_BUDGET:
         problem = ghz_problem(inst)
         generic = max(
             advantage(r, a, problem)

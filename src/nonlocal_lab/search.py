@@ -30,6 +30,9 @@ from .simplex import solve_lp_max
 
 #: default cap on enumerated strategy vertices
 DEFAULT_SEARCH_BUDGET = 1 << 20
+#: the trade-off table solves the LP only when the (l+1)^(nk) silent-allowed
+#: strategies number at most this many
+_LP_BUDGET = 4096
 
 ONE = Fraction(1)
 
@@ -275,7 +278,6 @@ def tradeoff_table(
     c_grid: Sequence[int],
     eps_grid: Sequence[Fraction],
     delta_grid: Sequence[Fraction] = (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
-    lp_budget: int = 4096,
     scan_budget: int = 1 << 24,
 ) -> TradeoffTable:
     """Achievable versus bound all-click probability over a (c, eps) grid.
@@ -291,7 +293,7 @@ def tradeoff_table(
         raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
     scans = scan_rectangles(inst, delta_grid, budget=scan_budget)
-    lp_ok = 3 ** (inst.n * inst.k) <= lp_budget  # binary outputs plus silence
+    lp_ok = 3 ** (inst.n * inst.k) <= _LP_BUDGET  # binary outputs plus silence
     columns = detector_columns(ghz_problem(inst)) if lp_ok else None
     lp_cache: dict[Fraction, Fraction] = {}
 

@@ -250,7 +250,7 @@ def test_criterion_9_desk_scale_gap_reports():
             inst = GhzInstance(n=n, k=k)
             c_grid = [0, 2, 4, n * math.ceil(math.log2(k))]
             eps_grid = [F(0), F(1, 10)]
-            table = tradeoff_table(inst, c_grid, eps_grid, lp_budget=0)
+            table = tradeoff_table(inst, c_grid, eps_grid)
             assert all(s.exact for s in table.scans)
             gaps = []
             for row in table.rows:

@@ -99,6 +99,35 @@ def test_addition_error_paths(capsys):
     assert code == 2 and "TooFewSets" in err
 
 
+def test_addition_budget_bounds_the_draw(capsys):
+    code, out, err = run_cli(capsys, "addition", "--t", "4", "--r", "64", "--budget", "1")
+    assert_one_line_exit_two(code, out, err, "BudgetExceeded")
+    assert "r*T = 256 exceeds budget 1" in err and "Traceback" not in err
+    argv = ["addition", "--t", "4", "--r", "6400", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv, "--budget", str(4 * 6400))
+    assert code == code2 == 0
+    assert out == out2  # a run inside the budget is unchanged
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantum", "--n", "3", "--k", "2"],
+        ["lhv-eval", "--n", "3", "--k", "2", "--model", "model.json"],
+        ["search", "--n", "3", "--k", "2"],
+        ["tradeoff", "--n", "3", "--k", "2"],
+        ["protocol-run", "--tree", "tree.json"],
+    ],
+)
+def test_seed_is_not_an_option_where_nothing_is_random(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "nonlocal-lab: error: unrecognized arguments: --seed 5\n"
+
+
 def test_tradeoff_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -180,6 +209,36 @@ def test_protocol_run_mixed_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
+
+
+def test_protocol_run_charges_the_costliest_component(tmp_path, capsys):
+    silent_tree = {"n": 2, "k": 2, "root": {"leaf": {"tables": [[0, 0], [0, 0]]}}}
+    split_tree = {
+        "n": 2,
+        "k": 2,
+        "root": {
+            "node": {
+                "party": 0,
+                "edges": [
+                    {"inputs": [0], "child": {"leaf": {"tables": [[0, 0], [0, 0]]}}},
+                    {"inputs": [1], "child": {"leaf": {"tables": [[1, 1], [0, 0]]}}},
+                ],
+            }
+        },
+    }
+    half = {"num": "1", "den": "2"}
+    path = tmp_path / "mixed.json"
+    path.write_text(
+        json.dumps(
+            {"components": [{"tree": silent_tree, "weight": half}, {"tree": split_tree, "weight": half}]}
+        )
+    )
+    code, out, _ = run_cli(capsys, "protocol-run", "--tree", str(path), "--evaluate")
+    assert code == 0
+    report = json.loads(out)
+    assert report["cost"] == 1
+    assert [c["worst_case"] for c in report["per_component_costs"]] == [0, 1]
+    assert report["evaluation"]["detector_eta_n"] == {"num": "1", "den": "2"}
 
 
 def test_out_file(tmp_path, capsys):

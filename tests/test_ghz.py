@@ -195,6 +195,19 @@ def test_prefix_stats_match_materialized_trees():
             assert error_probability(d, problem) == point.eps
 
 
+def test_prefix_answerer_is_the_next_party_or_party_zero():
+    for n, k in [(3, 2), (2, 4)]:
+        inst = GhzInstance(n=n, k=k)
+        for j in range(n + 1):
+            answerer = j if j < n else 0
+            for leaf in broadcast_prefix_strategy(inst, j).leaves():
+                for i, row in enumerate(leaf.lhv.tables):
+                    if i != answerer:
+                        assert set(row) == {0}
+                if j == n:  # the answerer's own setting is already broadcast
+                    assert len(set(leaf.lhv.tables[answerer])) == 1
+
+
 def test_prefix_error_is_monotone_and_hits_zero():
     inst = GhzInstance(n=5, k=2)
     points = [broadcast_prefix_stats(inst, j) for j in range(6)]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_mixed_protocol, random_tree
+from conftest import random_click_lhv, random_mixed_protocol, random_partition, random_tree
 from nonlocal_lab.errors import ArityMismatch, FlavorMismatch, MalformedTree
 from nonlocal_lab.ghz import (
     GhzInstance,
@@ -38,6 +38,7 @@ from nonlocal_lab.protocol import (
     mixed_cost,
     to_detector_model,
 )
+from nonlocal_lab.serialize import tree_from_json
 
 F = Fraction
 
@@ -79,32 +80,46 @@ def test_broadcast_tree_outputs_forced_parity():
     assert sum(outcome.values) % 2 == promise_bit(inst, (1, 1, 0)) == 1
 
 
+def _node_json(party, blocks, child):
+    return {"node": {"party": party, "edges": [{"inputs": b, "child": child} for b in blocks]}}
+
+
 def test_malformed_partition_raises_at_execution():
-    overlapping = ProtocolTree(
-        n=1,
-        k=2,
-        root=Node(
+    for blocks, text in (
+        ([[0, 1], [1]], "overlapping blocks at party 0"),
+        ([[0]], "blocks at party 0 do not cover inputs"),
+    ):
+        root = Node(
             party=0,
-            edges=(
-                Edge(inputs=frozenset({0, 1}), child=leaf(((0, 0),))),
-                Edge(inputs=frozenset({1}), child=leaf(((1, 1),))),
-            ),
+            edges=tuple(Edge(inputs=frozenset(b), child=leaf(((0, 0),))) for b in blocks),
+        )
+        with pytest.raises(MalformedTree) as exc:
+            ProtocolTree(n=1, k=2, root=root)
+        assert str(exc.value) == text
+        payload = {"n": 1, "k": 2, "root": _node_json(0, blocks, {"leaf": {"tables": [[0, 0]]}})}
+        with pytest.raises(MalformedTree) as exc:
+            tree_from_json(payload)
+        assert str(exc.value) == text
+
+
+LEAF_2X2 = {"leaf": {"tables": [[0, 0], [0, 0]]}}
+
+
+@pytest.mark.parametrize(
+    "root,text",
+    [
+        (_node_json(2, [[0], [1]], LEAF_2X2), "node speaks for party 2 but n=2"),
+        (_node_json(0, [[0], [1, 2]], LEAF_2X2), "edge block outside the input range"),
+        (
+            _node_json(0, [[0], [1]], {"leaf": {"tables": [[0, 0]] * 3}}),
+            "leaf model shape differs from the tree's (n, k)",
         ),
-    )
-    with pytest.raises(MalformedTree):
-        execute(overlapping, (1,))
-    with pytest.raises(MalformedTree):
-        overlapping.validate_partitions()
-    missing = ProtocolTree(
-        n=1,
-        k=2,
-        root=Node(
-            party=0,
-            edges=(Edge(inputs=frozenset({0}), child=leaf(((0, 0),))),),
-        ),
-    )
-    with pytest.raises(MalformedTree):
-        execute(missing, (1,))
+    ],
+)
+def test_arity_faults_fail_at_construction(root, text):
+    with pytest.raises(ArityMismatch) as exc:
+        tree_from_json({"n": 2, "k": 2, "root": root})
+    assert str(exc.value) == text
 
 
 def test_cost_ceiling_semantics_for_three_children():
@@ -163,8 +178,104 @@ def test_partition_soundness_random_trees():
     for _ in range(60):
         n, k = rng.choice([(2, 2), (3, 2), (2, 3), (3, 3)])
         tree = random_tree(rng, n, k)
-        tree.validate_partitions()
         assert_execution_reaches_preorder_leaf(tree)
+
+
+def repeated_speaker_tree(rng, n, k):
+    """Party 0 splits its settings at the root and again below every edge,
+    so leaves whose two blocks do not meet are unreachable."""
+
+    def second_split():
+        return Node(
+            party=0,
+            edges=tuple(
+                Edge(inputs=block, child=Leaf(lhv=random_click_lhv(rng, n, k)))
+                for block in random_partition(rng, k)
+            ),
+        )
+
+    root = Node(
+        party=0,
+        edges=tuple(Edge(inputs=block, child=second_split()) for block in random_partition(rng, k)),
+    )
+    return ProtocolTree(n=n, k=k, root=root)
+
+
+def invariant_trees():
+    rng = random.Random(13)
+    shapes = [(2, 2), (3, 2), (2, 3), (3, 3)]
+    trees = [random_tree(rng, n, k) for n, k in shapes for _ in range(10)]
+    trees += [repeated_speaker_tree(rng, n, k) for n, k in shapes for _ in range(5)]
+    # a split of {0, 1} below the same split reaches only two of its four leaves
+    halves = (frozenset({0}), frozenset({1}))
+    trees.append(
+        ProtocolTree(
+            n=2,
+            k=2,
+            root=Node(
+                party=0,
+                edges=tuple(
+                    Edge(
+                        inputs=a,
+                        child=Node(
+                            party=0,
+                            edges=tuple(Edge(inputs=b, child=leaf(((0, 1), (1, 0)))) for b in halves),
+                        ),
+                    )
+                    for a in halves
+                ),
+            ),
+        )
+    )
+    return trees
+
+
+def test_leaf_rectangles_partition_the_input_space():
+    trees = invariant_trees()
+    assert any(len(t.leaf_input_sets()) < len(t.leaves()) for t in trees)
+    for tree in trees:
+        owner = {}
+        for index, (_, sets) in enumerate(tree.leaf_input_sets()):
+            for x in itertools.product(*sets):
+                assert x not in owner  # rectangles are disjoint
+                owner[x] = index
+        assert len(owner) == tree.k**tree.n  # and cover {0..k-1}^n
+        assert_execution_reaches_preorder_leaf(tree)
+        assert len(cost_details(tree).per_leaf) == len(tree.leaves())
+
+
+def test_conversion_clicks_with_two_to_minus_c_on_every_input():
+    rng = random.Random(17)
+    by_shape = {}
+    for tree in invariant_trees():
+        by_shape.setdefault((tree.n, tree.k), []).append(tree)
+    mixtures = [MixedProtocol(components=((t, F(1)),)) for ts in by_shape.values() for t in ts]
+    for ts in by_shape.values():
+        for _ in range(5):
+            chosen = rng.sample(ts, rng.randint(2, 3))
+            weights = [F(rng.randint(1, 9)) for _ in chosen]
+            mixtures.append(
+                MixedProtocol(components=tuple((t, w / sum(weights)) for t, w in zip(chosen, weights)))
+            )
+    for mp in mixtures:
+        slot = F(1, 2 ** mixed_cost(mp))
+        detector = to_detector_model(mp)
+        for x in itertools.product(range(mp.k), repeat=mp.n):
+            assert _all_click_probability(detector, x) == slot
+
+
+def test_overlapping_blocks_cannot_be_built():
+    # converted without this check, the tree clicked with probability 1/2
+    # on (0, 0) and 1 on (1, 1)
+    root = Node(
+        party=0,
+        edges=(
+            Edge(inputs=frozenset({0, 1}), child=leaf(((0, 0), (0, 0)))),
+            Edge(inputs=frozenset({1}), child=leaf(((1, 1), (1, 1)))),
+        ),
+    )
+    with pytest.raises(MalformedTree, match=r"^overlapping blocks at party 0$"):
+        ProtocolTree(n=2, k=2, root=root)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3), (3, 4)])

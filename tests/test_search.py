@@ -256,7 +256,7 @@ def test_tradeoff_table_consistency_small():
 def test_tradeoff_table_desk_scale_gap():
     inst = GhzInstance(n=8, k=2)
     table = tradeoff_table(
-        inst, c_grid=[0, 2, 4, 8], eps_grid=[F(0), F(1, 10)], lp_budget=0
+        inst, c_grid=[0, 2, 4, 8], eps_grid=[F(0), F(1, 10)]
     )
     assert all(r.bound_exact for r in table.rows)
     for row in table.rows:
