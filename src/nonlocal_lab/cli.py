@@ -30,6 +30,8 @@ from .errors import (
     EmptyIntersection,
     InvalidInput,
     NonlocalLabError,
+    NotPowerOfTwo,
+    TooFewSets,
 )
 
 ENV_BUDGET = "NONLOCAL_LAB_BUDGET"
@@ -243,6 +245,10 @@ def cmd_addition(args: argparse.Namespace) -> tuple[dict, bool]:
             f"r*T = {args.r * args.t} exceeds budget {args.budget}; "
             f"the largest r that fits is {args.budget // args.t}"
         )
+    if args.t < 2 or args.t & (args.t - 1):
+        raise NotPowerOfTwo(f"T must be a power of two >= 2, got {args.t}")
+    if args.r < args.t**3:
+        raise TooFewSets(f"need r >= T^3 = {args.t**3} sets, got r = {args.r}")
     rng = random.Random(args.seed)
     general_sets = cyclic.random_subsets(args.t, args.r, rng, min_size=2)
     addition = cyclic.verify_addition_theorem(args.t, general_sets)

@@ -2,6 +2,13 @@
 subgroup bias, coin-flip residue counting, and verification of the bias
 bound for long sums of subsets of a power-of-two cyclic group.
 
+Long sums go through :func:`product`: identical factors are grouped and
+raised by square-and-multiply, and the groups are multiplied pairwise in a
+balanced tree. A multiply whose operands both hold entries of more than
+``_KRONECKER_BITS`` bits packs each vector into one int and multiplies once
+(Kronecker substitution); smaller or lopsided operands use :func:`conv`,
+which skips zero entries.
+
 All verdicts are decided in exact integer/rational arithmetic; inequalities
 involving square roots are compared in squared form with explicit sign
 handling, so no floating point ever enters a pass/fail decision.
@@ -9,7 +16,6 @@ handling, so no floating point ever enters a pass/fail decision.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import warnings
@@ -61,29 +67,81 @@ def conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+# Both operands of a multiply need more than this many bits in their largest
+# entry before one packed big-int multiply replaces the pairwise products of
+# ``conv``. Timed on dense vectors (CPython 3.11): the packed multiply wins at
+# m = 16 from a few bits on, at m = 8 from between 1,024 and 4,096 bits, and
+# at m = 4 only near 65,536 bits; with one small operand ``conv`` always wins.
+_KRONECKER_BITS = 2048
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """``conv(a, b)`` for nonnegative count vectors. When both operands carry
+    large entries, Kronecker substitution replaces the pairwise products:
+    each vector is packed into one int with byte-aligned slots wide enough
+    that no coefficient of the linear product overflows, the two ints are
+    multiplied once, and slot i + m of the product is folded onto slot i.
+    Squaring (``b is a``) packs once."""
+    m = len(a)
+    if len(b) != m:
+        raise ModulusMismatch(f"moduli differ: {m} vs {len(b)}")
+    bits_a, bits_b = max(a).bit_length(), max(b).bit_length()
+    if min(bits_a, bits_b) <= _KRONECKER_BITS:
+        return conv(a, b)
+    slot = (bits_a + bits_b + m.bit_length() + 8) // 8  # bytes, >= 1 spare bit
+
+    def pack(v: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(slot, "little") for x in v), "little")
+
+    packed_a = pack(a)
+    packed = packed_a * (packed_a if b is a else pack(b))
+    data = packed.to_bytes(2 * m * slot, "little")
+    coeff = [int.from_bytes(data[i : i + slot], "little") for i in range(0, 2 * m * slot, slot)]
+    return [coeff[i] + coeff[i + m] for i in range(m)]
+
+
+def _power(p: Sequence[int], e: int) -> list[int]:
+    if e == 1:
+        return list(p)
+    half = _power(p, e >> 1)
+    square = _mul(half, half)
+    return _mul(square, p) if e & 1 else square
+
+
 def power(p: Sequence[int], e: int) -> list[int]:
-    """``p`` convolved with itself ``e`` times, by square-and-multiply (each
-    multiply step uses ``p`` itself, the sparse operand); ``e = 0`` gives the
-    unit vector, all mass on residue 0."""
+    """``p`` convolved with itself ``e`` times, by square-and-multiply; each
+    step goes through the same multiply as :func:`product`, so large squares
+    are Kronecker-substituted while the step by ``p`` itself, whose entries
+    are small, stays on :func:`conv`. ``e = 0`` gives the unit vector, all
+    mass on residue 0. ``p`` must be a nonempty vector of nonnegative counts.
+    """
+    if not p:
+        raise InvalidInput("a count vector needs at least one entry")
+    if min(p) < 0:
+        raise InvalidInput(f"count vector entries must be >= 0, got {min(p)}")
     if e < 0:
         raise InvalidInput(f"exponent must be >= 0, got {e}")
     if e == 0:
         return [1] + [0] * (len(p) - 1)
-    if e == 1:
-        return list(p)
-    half = power(p, e >> 1)
-    square = conv(half, half)
-    return conv(square, p) if e & 1 else square
+    return _power(p, e)
 
 
 def product(factors: Iterable[Sequence[int]]) -> list[int]:
-    """Convolution of all ``factors``: identical factors are grouped and each
-    group is raised to its count with :func:`power` before the groups are
-    folded together, so r copies of one factor cost O(log r) convolutions."""
+    """Convolution of all ``factors`` (nonempty vectors of nonnegative
+    counts). Identical factors are grouped and each group is raised to its
+    count with :func:`power`, so r copies of one factor cost O(log r)
+    multiplies. The groups are then multiplied pairwise, level by level, in
+    a balanced tree, so operands of similar size meet at every level; a
+    multiply whose operands both have entries of more than
+    ``_KRONECKER_BITS`` bits is one packed big-int product (Kronecker
+    substitution), any other is :func:`conv`."""
     terms = [power(f, e) for f, e in Counter(map(tuple, factors)).items()]
     if not terms:
         raise InvalidInput("need at least one factor")
-    return functools.reduce(conv, terms)
+    while len(terms) > 1:
+        paired = [_mul(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
+        terms = paired + terms[len(terms) & ~1 :]
+    return terms[0]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_mixed_lhv
-from nonlocal_lab import serialize
+from nonlocal_lab import cyclic, serialize
 from nonlocal_lab.cli import main
 from nonlocal_lab.ghz import GhzInstance, broadcast_strategy
 
@@ -97,6 +97,23 @@ def test_addition_error_paths(capsys):
     assert code == 2 and "NotPowerOfTwo" in err
     code, _, err = run_cli(capsys, "addition", "--t", "4", "--r", "10")
     assert code == 2 and "TooFewSets" in err
+
+
+def test_addition_checks_t_and_r_before_drawing(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew subsets for a request that must be refused")
+
+    monkeypatch.setattr(cyclic, "random_subsets", no_draw)
+    code, out, err = run_cli(capsys, "addition", "--t", "4", "--r", "-1")
+    assert_one_line_exit_two(code, out, err, "TooFewSets")
+    assert "need r >= T^3 = 64 sets, got r = -1" in err
+    for t in ("3", "1", "0", "-4"):
+        code, out, err = run_cli(capsys, "addition", "--t", t, "--r", "3000000")
+        assert_one_line_exit_two(code, out, err, "NotPowerOfTwo")
+        assert f"got {t}" in err and "Traceback" not in err
+    code, out, err = run_cli(capsys, "addition", "--t", "8", "--r", "511")
+    assert_one_line_exit_two(code, out, err, "TooFewSets")
+    assert "got r = 511" in err
 
 
 def test_addition_budget_bounds_the_draw(capsys):

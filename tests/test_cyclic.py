@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from nonlocal_lab import cyclic
 from nonlocal_lab.cyclic import (
     INFINITE,
     MultisetZ,
@@ -104,6 +105,70 @@ def test_product_is_an_order_free_left_fold():
             assert product(factors) == list(folded)
             rng.shuffle(factors)
             assert product(factors) == list(folded)
+
+
+def left_fold(factors):
+    folded = factors[0]
+    for f in factors[1:]:
+        folded = conv(folded, f)
+    return list(folded)
+
+
+@pytest.mark.parametrize("big_t, count", [(2, 4096), (4, 4096), (8, 4096), (16, 2048), (32, 1024)])
+def test_product_tree_equals_left_fold(monkeypatch, big_t, count):
+    rng = random.Random(31 + big_t)
+    factors = [[rng.randint(0, 3) for _ in range(big_t)] for _ in range(count)]
+    for f in factors:
+        f[rng.randrange(big_t)] += 1
+    factors += rng.choices(factors, k=count // 8)  # a few repeated factors
+    folded = left_fold(factors)
+    # the top of the tree multiplies operands above the switch point
+    assert max(folded).bit_length() > 2 * cyclic._KRONECKER_BITS
+    assert product(factors) == folded
+    monkeypatch.setattr(cyclic, "_KRONECKER_BITS", 0)  # every multiply packed
+    assert product(factors) == folded
+    monkeypatch.setattr(cyclic, "_KRONECKER_BITS", 1 << 30)  # every multiply on conv
+    assert product(factors) == folded
+
+
+def test_power_of_a_coin_is_coin_counts():
+    for big_t in (1, 2, 4, 8, 16, 32):
+        for s in (1, 2, 3, 255, 1000, 2049, 4097, 5000):
+            assert tuple(power(indicator(big_t, (0, 1)), s)) == coin_counts(s, big_t)
+
+
+def test_packed_multiply_checks_the_moduli():
+    big = 1 << (2 * cyclic._KRONECKER_BITS)
+    with pytest.raises(ModulusMismatch, match="moduli differ: 4 vs 8"):
+        product([[big] * 4, [big] * 8])
+    with pytest.raises(ModulusMismatch):
+        product([[big, 1, 0, big]] * 3 + [[big] * 8] * 5)
+    assert product([[big] * 4, [big] * 4]) == conv([big] * 4, [big] * 4)
+
+
+def test_zero_and_single_factors():
+    big = 1 << (2 * cyclic._KRONECKER_BITS)
+    for big_t in (1, 2, 4, 16):
+        zero = [0] * big_t
+        assert product([zero]) == zero
+        assert product([zero] * 5) == zero
+        assert product([zero, [big] * big_t, [1] * big_t]) == zero
+        f = [i + 1 for i in range(big_t)]
+        assert product([f]) == f
+        assert product([tuple(f)]) == f
+        assert product([[big] * big_t]) == [big] * big_t
+        assert power(zero, 3) == zero
+
+
+def test_kernel_rejects_what_is_not_a_count_vector():
+    for bad in ([], (), [1, -1], [0, 0, -2, 5]):
+        for e in (0, 1, 3):
+            with pytest.raises(InvalidInput):
+                power(bad, e)
+        with pytest.raises(InvalidInput):
+            product([[1] * max(len(bad), 1), bad])
+    assert conv([1, -1], [1, 1]) == [0, 0]  # conv itself stays general
+    assert conv([], []) == []
 
 
 def test_singleton_sum_is_translation():
