@@ -2,12 +2,15 @@
 subgroup bias, coin-flip residue counting, and verification of the bias
 bound for long sums of subsets of a power-of-two cyclic group.
 
-Long sums go through :func:`product`: identical factors are grouped and
-raised by square-and-multiply, and the groups are multiplied pairwise in a
-balanced tree. A multiply whose operands both hold entries of more than
-``_KRONECKER_BITS`` bits packs each vector into one int and multiplies once
-(Kronecker substitution); smaller or lopsided operands use :func:`conv`,
-which skips zero entries.
+Long sums go through :func:`product`; :func:`power` is its one-factor case.
+Identical factors are grouped. Each term is one int with byte-aligned slots
+(Kronecker substitution), wide enough for the term's mass, the product of
+its factors' sums. A group is raised by square-and-multiply, then the two
+terms of least mass are multiplied until one is left; every multiply is one
+big-int product folded mod 2^(slot bits * T) - 1. :func:`conv`, which skips
+zero entries, stays the kernel for single sums and step-by-step sweeps.
+The verifiers count the drawn sets first, so each distinct set is checked
+and normalised once.
 
 All verdicts are decided in exact integer/rational arithmetic; inequalities
 involving square roots are compared in squared form with explicit sign
@@ -16,13 +19,15 @@ handling, so no floating point ever enters a pass/fail decision.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     CrossCheckMismatch,
@@ -67,81 +72,110 @@ def conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-# Both operands of a multiply need more than this many bits in their largest
-# entry before one packed big-int multiply replaces the pairwise products of
-# ``conv``. Timed on dense vectors (CPython 3.11): the packed multiply wins at
-# m = 16 from a few bits on, at m = 8 from between 1,024 and 4,096 bits, and
-# at m = 4 only near 65,536 bits; with one small operand ``conv`` always wins.
-_KRONECKER_BITS = 2048
+def _width(mass: int) -> int:
+    """Bytes per slot for coefficients of at most ``mass``."""
+    return (mass.bit_length() + 7) // 8 or 1
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """``conv(a, b)`` for nonnegative count vectors. When both operands carry
-    large entries, Kronecker substitution replaces the pairwise products:
-    each vector is packed into one int with byte-aligned slots wide enough
-    that no coefficient of the linear product overflows, the two ints are
-    multiplied once, and slot i + m of the product is folded onto slot i.
-    Squaring (``b is a``) packs once."""
-    m = len(a)
-    if len(b) != m:
-        raise ModulusMismatch(f"moduli differ: {m} vs {len(b)}")
-    bits_a, bits_b = max(a).bit_length(), max(b).bit_length()
-    if min(bits_a, bits_b) <= _KRONECKER_BITS:
-        return conv(a, b)
-    slot = (bits_a + bits_b + m.bit_length() + 8) // 8  # bytes, >= 1 spare bit
-
-    def pack(v: Sequence[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(slot, "little") for x in v), "little")
-
-    packed_a = pack(a)
-    packed = packed_a * (packed_a if b is a else pack(b))
-    data = packed.to_bytes(2 * m * slot, "little")
-    coeff = [int.from_bytes(data[i : i + slot], "little") for i in range(0, 2 * m * slot, slot)]
-    return [coeff[i] + coeff[i + m] for i in range(m)]
+def _repack(data: bytes, m: int, width: int, wider: int) -> int:
+    """The int whose ``wider``-byte slots hold the m ``width``-byte slots of
+    ``data`` (little-endian), moved with one slice per byte or per slot."""
+    if width == wider:
+        return int.from_bytes(data, "little")
+    buf = bytearray(m * wider)
+    if width < m:
+        for i in range(width):
+            buf[i::wider] = data[i::width]
+    else:
+        for i in range(m):
+            buf[i * wider : i * wider + width] = data[i * width : (i + 1) * width]
+    return int.from_bytes(buf, "little")
 
 
-def _power(p: Sequence[int], e: int) -> list[int]:
+def _pack(v: Sequence[int], width: int) -> int:
+    """The count vector ``v`` packed into ``width``-byte slots."""
+    try:
+        data, size = bytes(v), 1  # every entry below 256
+    except ValueError:
+        data, size = b"".join(x.to_bytes(width, "little") for x in v), width
+    return _repack(data, len(v), size, width)
+
+
+def _widen(t: tuple[int, int, int], m: int, width: int) -> int:
+    return t[2] if t[1] == width else _repack(t[2].to_bytes(m * t[1], "little"), m, t[1], width)
+
+
+def _mul(a: tuple[int, int, int], b: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+    """Product of two packed terms ``(mass, width, packed)``. The mass bounds
+    every coefficient of the linear product, so slots of the product's width
+    never carry; slot i + m is folded onto slot i by reducing the product
+    mod 2^(8*m*width) - 1. An operand is re-packed only if its slots are
+    narrower. Squaring (``b is a``) re-packs once."""
+    mass = a[0] * b[0]
+    width = _width(mass)
+    x = _widen(a, m, width)
+    p = x * (x if b is a else _widen(b, m, width))
+    bits = 8 * m * width
+    return mass, width, (p & ((1 << bits) - 1)) + (p >> bits)
+
+
+def _power(t: tuple[int, int, int], e: int, m: int) -> tuple[int, int, int]:
     if e == 1:
-        return list(p)
-    half = _power(p, e >> 1)
-    square = _mul(half, half)
-    return _mul(square, p) if e & 1 else square
+        return t
+    half = _power(t, e >> 1, m)
+    square = _mul(half, half, m)
+    return _mul(square, t, m) if e & 1 else square
 
 
 def power(p: Sequence[int], e: int) -> list[int]:
-    """``p`` convolved with itself ``e`` times, by square-and-multiply; each
-    step goes through the same multiply as :func:`product`, so large squares
-    are Kronecker-substituted while the step by ``p`` itself, whose entries
-    are small, stays on :func:`conv`. ``e = 0`` gives the unit vector, all
-    mass on residue 0. ``p`` must be a nonempty vector of nonnegative counts.
+    """``p`` convolved with itself ``e`` times: :func:`product` of the one
+    factor ``p`` with multiplicity ``e``. ``e = 0`` gives the unit vector,
+    all mass on residue 0. ``p`` must be a nonempty vector of nonnegative
+    counts."""
+    return product({tuple(p): e})
+
+
+def product(factors: Iterable[Sequence[int]] | Mapping[Sequence[int], int]) -> list[int]:
+    """Convolution of all ``factors``: nonempty vectors of nonnegative counts
+    of one length m, either listed or as a mapping from each distinct vector
+    to its multiplicity (a ``Counter``); a listed product is grouped first.
+
+    Each group is packed once into an int with byte-aligned slots wide
+    enough for its mass, which bounds every coefficient, and raised to its
+    multiplicity by square-and-multiply, so r copies of one factor cost
+    O(log r) multiplies. Then the two terms of least mass are multiplied
+    until one is left, so terms of similar mass meet and a heavy term waits
+    for the light ones. Every multiply is one big-int product (:func:`_mul`).
     """
-    if not p:
-        raise InvalidInput("a count vector needs at least one entry")
-    if min(p) < 0:
-        raise InvalidInput(f"count vector entries must be >= 0, got {min(p)}")
-    if e < 0:
-        raise InvalidInput(f"exponent must be >= 0, got {e}")
-    if e == 0:
-        return [1] + [0] * (len(p) - 1)
-    return _power(p, e)
-
-
-def product(factors: Iterable[Sequence[int]]) -> list[int]:
-    """Convolution of all ``factors`` (nonempty vectors of nonnegative
-    counts). Identical factors are grouped and each group is raised to its
-    count with :func:`power`, so r copies of one factor cost O(log r)
-    multiplies. The groups are then multiplied pairwise, level by level, in
-    a balanced tree, so operands of similar size meet at every level; a
-    multiply whose operands both have entries of more than
-    ``_KRONECKER_BITS`` bits is one packed big-int product (Kronecker
-    substitution), any other is :func:`conv`."""
-    terms = [power(f, e) for f, e in Counter(map(tuple, factors)).items()]
-    if not terms:
+    groups = factors if isinstance(factors, Mapping) else Counter(map(tuple, factors))
+    if not groups:
         raise InvalidInput("need at least one factor")
-    while len(terms) > 1:
-        paired = [_mul(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
-        terms = paired + terms[len(terms) & ~1 :]
-    return terms[0]
+    m = len(next(iter(groups)))
+    for v, e in groups.items():
+        if not v:
+            raise InvalidInput("a count vector needs at least one entry")
+        if min(v) < 0:
+            raise InvalidInput(f"count vector entries must be >= 0, got {min(v)}")
+        if e < 0:
+            raise InvalidInput(f"exponent must be >= 0, got {e}")
+        if len(v) != m:
+            raise ModulusMismatch(f"moduli differ: {m} vs {len(v)}")
+    heap = []  # terms (mass, width, packed), least mass first
+    for v, e in groups.items():
+        if e:
+            mass = sum(v)
+            if not mass:
+                return [0] * m
+            width = _width(mass)
+            heap.append(_power((mass, width, _pack(v, width)), e, m))
+    if not heap:
+        return [1] + [0] * (m - 1)
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        heapq.heappush(heap, _mul(heapq.heappop(heap), heapq.heappop(heap), m))
+    _, width, packed = heap[0]
+    data = packed.to_bytes(m * width, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, m * width, width)]
 
 
 @dataclass(frozen=True)
@@ -210,7 +244,7 @@ def multiset_sum(a: MultisetZ, b: MultisetZ) -> MultisetZ:
 
 
 def iterated_sum(sets: Sequence[MultisetZ]) -> MultisetZ:
-    """Convolution of a sequence of multisets; :func:`conv` raises
+    """Convolution of a sequence of multisets; :func:`product` raises
     ``ModulusMismatch`` when their moduli differ."""
     if not sets:
         raise InvalidInput("need at least one multiset")
@@ -319,6 +353,32 @@ def _bias_within_bound_t32(bias, big_t: int, r: int) -> bool:
     return bias.numerator**2 * r <= 16 * big_t**3 * bias.denominator**2
 
 
+def _residues(big_t: int, s: Sequence[int], sizes: range, need: str) -> set[int]:
+    """The residues mod T of the set ``s`` of ints, whose number must lie in
+    ``sizes``."""
+    vals = {v % big_t for v in s}
+    if len(vals) not in sizes:
+        raise InvalidInput(f"sets must have {need} distinct elements, got {s}")
+    return vals
+
+
+def _count_sets(
+    big_t: int, sets: Sequence[Sequence[int]], sizes: range, need: str
+) -> Iterator[tuple[set[int], int]]:
+    """The residues (:func:`_residues`) and the count of each distinct set in
+    ``sets``, in order of first occurrence, so each set is checked once and
+    the first invalid one in input order is named. When some entry is not an
+    int (a bool or a float would compare equal to one) the sets are checked
+    one by one instead, in input order."""
+    if not set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
+        for s in sets:
+            if not set(map(type, s)) <= {int}:
+                raise InvalidInput(f"set entries must be ints, got {s}")
+            _residues(big_t, s, sizes, need)
+    for s, count in Counter(map(tuple, sets)).items():
+        yield _residues(big_t, s, sizes, need), count
+
+
 @dataclass(frozen=True)
 class Size2Report:
     """Verification record for a sum of many 2-element subsets."""
@@ -346,17 +406,15 @@ def verify_size2_sets(big_t: int, sets: Sequence[Sequence[int]]) -> Size2Report:
     r = len(sets)
     if r < big_t**3:
         raise TooFewSets(f"need at least T^3 = {big_t**3} sets, got {r}")
-    normalized: list[int] = []
-    for s in sets:
-        vals = sorted(set(v % big_t for v in s))
-        if len(vals) != 2:
-            raise InvalidInput(f"sets must have exactly 2 distinct elements, got {s}")
-        lo, hi = vals
-        normalized.append((hi - lo) % big_t)  # translate so 0 is a member
-    tally = Counter(normalized)
+    tally: Counter[int] = Counter()
+    for vals, copies in _count_sets(big_t, sets, range(2, 3), "exactly 2"):
+        lo, hi = sorted(vals)
+        tally[(hi - lo) % big_t] += copies  # translate so 0 is a member
     majority = max(tally, key=lambda b: (tally[b], -b))
     count = tally[majority]
-    total = MultisetZ(modulus=big_t, mult=product(indicator(big_t, (0, b)) for b in normalized))
+    total = MultisetZ(
+        modulus=big_t, mult=product({indicator(big_t, (0, b)): c for b, c in tally.items()})
+    )
     sub = Subgroup(modulus=big_t, generator=majority)
     b_val = subgroup_bias(total, sub)
     passed = _bias_within_bound_t32(b_val, big_t, r)
@@ -395,13 +453,10 @@ def verify_addition_theorem(big_t: int, sets: Sequence[Sequence[int]]) -> Additi
     r = len(sets)
     if r < big_t**3:
         raise TooFewSets(f"need at least T^3 = {big_t**3} sets, got {r}")
-    factors = []
-    for s in sets:
-        vals = set(v % big_t for v in s)
-        if len(vals) < 2:
-            raise InvalidInput(f"sets must have at least 2 distinct elements, got {s}")
-        factors.append(indicator(big_t, vals))
-    total = MultisetZ(modulus=big_t, mult=product(factors))
+    groups: Counter[bytes] = Counter()
+    for vals, copies in _count_sets(big_t, sets, range(2, big_t + 1), "at least 2"):
+        groups[bytes(indicator(big_t, vals))] += copies  # 0/1 entries: compact keys
+    total = MultisetZ(modulus=big_t, mult=product(groups))
     sub = Subgroup(modulus=big_t, generator=big_t // 2)
     b_val = subgroup_bias(total, sub)
     return AdditionReport(
@@ -418,8 +473,8 @@ def random_subsets(
 ) -> list[tuple[int, ...]]:
     """Seeded random subsets of Z_T with sizes in [min_size, max_size]."""
     max_size = big_t if max_size is None else max_size
-    if not min_size <= max_size <= big_t:
-        raise InvalidInput("need min_size <= max_size <= T")
+    if not 0 <= min_size <= max_size <= big_t:
+        raise InvalidInput(f"need 0 <= min_size <= max_size <= T, got {min_size}, {max_size}")
     values = list(range(big_t))
     return [
         tuple(sorted(rng.sample(values, rng.randint(min_size, max_size))))

@@ -87,10 +87,14 @@ class CorrelationProblem:
             total += w
         if total != 1:
             raise InvalidInput(f"input weights sum to {total}, expected 1")
+        summed = set()  # ids of the row objects already summed (rows are often shared)
         for x in self.support:
             row = self.target.get(x)
             if row is None:
                 raise InvalidInput(f"no target distribution for supported input {x}")
+            if id(row) in summed:
+                continue
+            summed.add(id(row))
             exact = all(isinstance(p, Fraction) for p in row.values())
             s = sum(row.values())
             if exact:

@@ -2,15 +2,19 @@
 counting, and the near-uniformity verifications."""
 
 import itertools
+import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nonlocal_lab import cyclic
 from nonlocal_lab.cyclic import (
     INFINITE,
+    AdditionReport,
     MultisetZ,
+    Size2Report,
     Subgroup,
     check_coins_bound,
     coin_counts,
@@ -115,20 +119,21 @@ def left_fold(factors):
 
 
 @pytest.mark.parametrize("big_t, count", [(2, 4096), (4, 4096), (8, 4096), (16, 2048), (32, 1024)])
-def test_product_tree_equals_left_fold(monkeypatch, big_t, count):
+def test_product_tree_equals_left_fold(big_t, count):
     rng = random.Random(31 + big_t)
     factors = [[rng.randint(0, 3) for _ in range(big_t)] for _ in range(count)]
     for f in factors:
         f[rng.randrange(big_t)] += 1
     factors += rng.choices(factors, k=count // 8)  # a few repeated factors
-    folded = left_fold(factors)
-    # the top of the tree multiplies operands above the switch point
-    assert max(folded).bit_length() > 2 * cyclic._KRONECKER_BITS
-    assert product(factors) == folded
-    monkeypatch.setattr(cyclic, "_KRONECKER_BITS", 0)  # every multiply packed
-    assert product(factors) == folded
-    monkeypatch.setattr(cyclic, "_KRONECKER_BITS", 1 << 30)  # every multiply on conv
-    assert product(factors) == folded
+    factors += [[1] * big_t] * (count // 4)  # one factor far heavier than any other term
+    factors += [[rng.randrange(1 << 70) for _ in range(big_t)] for _ in range(3)]  # wide leaves
+    rng.shuffle(factors)
+    assert product(factors) == left_fold(factors)
+    # inputs the size of residue_counts: a few 0/1 indicator vectors
+    for n in range(1, 9):
+        parts = [rng.sample(range(big_t), rng.randint(1, big_t)) for _ in range(n)]
+        vectors = [indicator(big_t, part) for part in parts]
+        assert product(vectors) == left_fold(vectors)
 
 
 def test_power_of_a_coin_is_coin_counts():
@@ -138,21 +143,25 @@ def test_power_of_a_coin_is_coin_counts():
 
 
 def test_packed_multiply_checks_the_moduli():
-    big = 1 << (2 * cyclic._KRONECKER_BITS)
+    big = 1 << 4096
     with pytest.raises(ModulusMismatch, match="moduli differ: 4 vs 8"):
         product([[big] * 4, [big] * 8])
     with pytest.raises(ModulusMismatch):
         product([[big, 1, 0, big]] * 3 + [[big] * 8] * 5)
     assert product([[big] * 4, [big] * 4]) == conv([big] * 4, [big] * 4)
+    with pytest.raises(ModulusMismatch, match="moduli differ: 8 vs 4"):
+        product([[1] * 8, [1] * 4])
 
 
 def test_zero_and_single_factors():
-    big = 1 << (2 * cyclic._KRONECKER_BITS)
+    big = 1 << 4096
     for big_t in (1, 2, 4, 16):
         zero = [0] * big_t
         assert product([zero]) == zero
         assert product([zero] * 5) == zero
         assert product([zero, [big] * big_t, [1] * big_t]) == zero
+        assert product([[200] * big_t, zero, [3] * big_t]) == zero  # slots of 2 or 3 bytes
+        assert product({tuple(zero): 0, tuple([200] * big_t): 1}) == [200] * big_t
         f = [i + 1 for i in range(big_t)]
         assert product([f]) == f
         assert product([tuple(f)]) == f
@@ -345,6 +354,137 @@ def test_verify_addition_theorem():
         verify_addition_theorem(3, [(0, 1)] * 100)
     with pytest.raises(InvalidInput):
         verify_addition_theorem(2, [(0,)] * 8)
+
+
+def raw_sets(rng, big_t, r, sizes):
+    """r sets of Z_T written as a caller might: unsorted, with repeated
+    elements, entries >= T or negative, as lists or tuples, and with equal
+    sets recurring. No two elements of a set differ by T/2 (for T > 2), so
+    no set is blind to the odd characters and sums keep a nonzero bias."""
+    drawn = []
+    for _ in range(r):
+        if drawn and rng.random() < 0.3:
+            s = rng.choice(drawn)
+        else:
+            residues = [0, big_t // 2]
+            while big_t > 2 and any(
+                (a - b) % big_t == big_t // 2 for a, b in itertools.combinations(residues, 2)
+            ):
+                residues = rng.sample(range(big_t), rng.choice(sizes))
+            s = [x + big_t * rng.randint(-2, 2) for x in residues]
+            s += rng.choices(s, k=rng.randint(0, 2))
+            rng.shuffle(s)
+        drawn.append(list(s) if rng.random() < 0.5 else tuple(s))
+    return drawn
+
+
+def fold_sum(big_t, vectors):
+    total = indicator(big_t, (0,))
+    for v in vectors:
+        total = conv(total, v)
+    return MultisetZ(modulus=big_t, mult=total)
+
+
+def within_bound(bias, big_t, r):
+    return bias != INFINITE and bias * bias * r <= 16 * big_t**3
+
+
+@pytest.mark.parametrize("big_t", [2, 4, 8, 16, 32])
+def test_verifiers_equal_a_left_fold_over_the_raw_sets(big_t):
+    rng = random.Random(41 + big_t)
+    r = big_t**3 + rng.randrange(big_t // 2 + 1)
+    bound = 4.0 * big_t**1.5 / math.sqrt(r)
+    half = Subgroup(modulus=big_t, generator=big_t // 2)
+    pairs = raw_sets(rng, big_t, r, (2,))
+    # the left fold costs r dense steps on ints of about r bits, so at T=32
+    # one family of pairs serves both verifiers: bias ignores translation
+    sets = pairs if big_t == 32 else raw_sets(rng, big_t, r, range(2, min(big_t, 4) + 1))
+
+    total = fold_sum(big_t, [indicator(big_t, {v % big_t for v in s}) for s in sets])
+    bias = subgroup_bias(total, half)
+    assert verify_addition_theorem(big_t, sets) == AdditionReport(
+        subgroup=half, bias=bias, bound=bound, passed=within_bound(bias, big_t, r), set_count=r
+    )
+
+    diffs = [max(vals) - min(vals) for vals in ({v % big_t for v in s} for s in pairs)]
+    tally = Counter(diffs)
+    majority = max(tally, key=lambda b: (tally[b], -b))
+    sub = Subgroup(modulus=big_t, generator=majority)
+    if sets is not pairs:
+        total = fold_sum(big_t, [indicator(big_t, (0, b)) for b in diffs])
+    bias = subgroup_bias(total, sub)
+    assert verify_size2_sets(big_t, pairs) == Size2Report(
+        subgroup=sub,
+        majority_difference=majority,
+        majority_count=tally[majority],
+        bias=bias,
+        bound=bound,
+        passed=within_bound(bias, big_t, r),
+    )
+    assert big_t == 2 or bias != 0  # the sets avoid T/2 differences: a real bias is compared
+
+
+# reports of the ``addition`` subcommand's draws at the benchmark sizes, as
+# the conv-tree kernel gave them: (T, r, seed, addition bias, passed, size-2
+# bias, majority difference, majority count, passed)
+PINNED_ADDITION = [
+    (4, 6400, 1, F(0), True, F(0), 1, 3176, True),
+    (4, 6400, 2, F(0), True, F(0), 1, 3154, True),
+    (4, 6400, 3, F(0), True, F(0), 1, 3129, True),
+    (8, 4096, 1, F(0), True, F(0), 1, 1043, True),
+    (8, 4096, 2, F(0), True, F(0), 1, 1018, True),
+    (8, 4096, 3, F(0), True, F(0), 1, 1031, True),
+    (16, 4096, 1, F(0), True, F(0), 1, 544, True),
+    (16, 4096, 2, F(0), True, F(0), 2, 499, True),
+    (16, 4096, 3, F(0), True, F(0), 1, 511, True),
+]
+
+
+@pytest.mark.parametrize("pinned", PINNED_ADDITION)
+def test_addition_reports_pinned(pinned):
+    big_t, r, seed = pinned[:3]
+    rng = random.Random(seed)
+    general = verify_addition_theorem(big_t, random_subsets(big_t, r, rng, min_size=2))
+    pairs = verify_size2_sets(big_t, random_subsets(big_t, r, rng, min_size=2, max_size=2))
+    assert general.set_count == r and general.subgroup.generator == big_t // 2
+    assert (
+        general.bias,
+        general.passed,
+        pairs.bias,
+        pairs.majority_difference,
+        pairs.majority_count,
+        pairs.passed,
+    ) == pinned[3:]
+    assert pairs.subgroup.generator == pairs.majority_difference
+
+
+def test_verifiers_name_the_first_invalid_set():
+    good = [(0, 1)] * 63
+    for verify in (verify_addition_theorem, verify_size2_sets):
+        for bad in ([0, 1.0], (0, True), ["0", "1"], (0.5, 1)):
+            message = re.escape(f"set entries must be ints, got {bad}")
+            with pytest.raises(InvalidInput, match=message):
+                verify(4, good + [bad])
+        # a bool or float set equal to an int set met earlier is still refused
+        with pytest.raises(InvalidInput, match=r"got \(False, True\)"):
+            verify(4, good + [(False, True)])
+        # the first invalid set in input order is named, whatever is wrong with it
+        with pytest.raises(InvalidInput, match=r"distinct elements, got \[5\]$"):
+            verify(4, good + [[5], (0, 0.5), (3,)])
+        with pytest.raises(InvalidInput, match=r"must be ints, got \(0, 0.5\)$"):
+            verify(4, good + [(0, 0.5), [5]])
+        with pytest.raises(InvalidInput, match=r"distinct elements, got \(2, 6\)$"):
+            verify(4, good + [(0, 1), (2, 6), (1, 5)])  # 6 = 2 mod 4
+    with pytest.raises(InvalidInput, match=r"exactly 2 distinct elements, got \(0, 1, 2\)$"):
+        verify_size2_sets(4, good + [(0, 1, 2)])
+
+
+def test_random_subsets_checks_the_sizes():
+    rng = random.Random(0)
+    for min_size, max_size in ((-1, 2), (3, 2), (2, 5)):
+        with pytest.raises(InvalidInput):
+            random_subsets(4, 10, rng, min_size=min_size, max_size=max_size)
+    assert all(len(s) == 0 for s in random_subsets(4, 10, rng, min_size=0, max_size=0))
 
 
 def test_residue_kernel_cross_module_oracle():

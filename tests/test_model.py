@@ -238,6 +238,42 @@ def test_problem_validation_rejects_bad_weights():
         )
 
 
+def test_problem_validation_sums_each_shared_row_once():
+    # every input shares one bad row object; (0, 0) has no weight, so the
+    # first supported input, (0, 1), is the one named
+    mu = {(0, 0): F(0), (0, 1): F(1, 3), (1, 0): F(1, 3), (1, 1): F(1, 3)}
+    bad = {(0, 0): F(1, 2), (1, 1): F(1, 4)}
+    with pytest.raises(InvalidInput, match=r"^target at \(0, 1\) sums to 3/4, expected 1$"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={x: bad for x in mu})
+    # a good shared row does not hide a bad row of a later input
+    good = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    target = {x: good for x in mu}
+    target[(1, 1)] = {(0, 0): F(1, 3)}
+    with pytest.raises(InvalidInput, match=r"^target at \(1, 1\) sums to 1/3, expected 1$"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target=target)
+    # equal rows that are distinct objects are each summed
+    with pytest.raises(InvalidInput, match=r"^target at \(0, 1\) sums to 3/4"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={x: dict(bad) for x in mu})
+
+
+def test_problem_validation_mixes_exact_and_float_rows():
+    mu = {(a, b): F(1, 4) for a in range(2) for b in range(2)}
+    exact = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    mixed = {(0, 0): F(1, 2), (1, 1): 0.5}  # one float entry: decided within the tolerance
+    rounded = {(0, 0): 0.1 + 0.2, (1, 1): 0.7}  # sums to 1.0000000000000002
+    target = {(0, 0): mixed, (0, 1): rounded, (1, 0): exact, (1, 1): mixed}
+    problem = CorrelationProblem(n=2, k=2, l=2, mu=mu, target=target)
+    assert problem.target_prob((1, 1), (1, 1)) == 0.5
+    # an exact row is decided exactly, even by less than the float tolerance
+    hair = {(0, 0): F(1, 2), (1, 1): F(1, 2) + F(1, 10**15)}
+    with pytest.raises(InvalidInput, match=r"^target at \(1, 0\) sums to"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**target, (1, 0): hair})
+    # a shared float row off by more than the tolerance is named once, at its first input
+    off = {(0, 0): 0.5, (1, 1): 0.5 + 1e-9}
+    with pytest.raises(InvalidInput, match=r"^target at \(0, 1\) sums to"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**target, (0, 1): off, (1, 1): off})
+
+
 def test_metrics_reject_outputs_outside_the_alphabet():
     # l = 2, so the table entry 7 lies outside the output alphabet
     problem = ghz_problem(GhzInstance(n=3, k=2))
