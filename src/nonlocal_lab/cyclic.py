@@ -471,15 +471,65 @@ def verify_addition_theorem(big_t: int, sets: Sequence[Sequence[int]]) -> Additi
 def random_subsets(
     big_t: int, r: int, rng: random.Random, min_size: int = 2, max_size: Optional[int] = None
 ) -> list[tuple[int, ...]]:
-    """Seeded random subsets of Z_T with sizes in [min_size, max_size]."""
+    """Seeded random subsets of Z_T with sizes in [min_size, max_size].
+
+    Stream contract: for any ``random.Random`` the list, and the state ``rng``
+    is left in, equal those of drawing each set as
+    ``tuple(sorted(rng.sample(range(T), rng.randint(min_size, max_size))))``.
+    The draws are made straight from ``rng.getrandbits``, as CPython's
+    ``_randbelow(m)`` makes them: ``getrandbits(m.bit_length())`` repeated
+    until the result is below m (a span of one still draws). The size is
+    ``min_size + _randbelow(span)``. ``sample`` then takes one of two cases
+    per size s, by ``setsize = 21``, plus ``4**ceil(log(3s, 4))`` if s > 5:
+
+    * T <= setsize: the i-th element is ``pool[_randbelow(T - i)]`` and the
+      last unchosen entry of ``pool`` moves into its place;
+    * otherwise: ``_randbelow(T)`` is redrawn until it is new to the set.
+
+    An ``rng`` whose ``_randbelow`` is not the ``getrandbits`` one (a
+    subclass that overrides only ``random()``) is refused.
+    """
     max_size = big_t if max_size is None else max_size
     if not 0 <= min_size <= max_size <= big_t:
         raise InvalidInput(f"need 0 <= min_size <= max_size <= T, got {min_size}, {max_size}")
-    values = list(range(big_t))
-    return [
-        tuple(sorted(rng.sample(values, rng.randint(min_size, max_size))))
-        for _ in range(r)
+    if getattr(type(rng), "_randbelow", None) is not random.Random._randbelow_with_getrandbits:
+        raise InvalidInput(f"rng must draw through getrandbits, got {type(rng).__name__}")
+    getrandbits = rng.getrandbits
+    span = max_size - min_size + 1
+    span_bits = span.bit_length()
+    t_bits = big_t.bit_length()
+    # per size: the (bound, bits) of each pool draw, or None for the set case
+    steps = [
+        [(n, n.bit_length()) for n in range(big_t, big_t - s, -1)]
+        if big_t <= 21 + (4 ** math.ceil(math.log(3 * s, 4)) if s > 5 else 0)
+        else None
+        for s in range(max_size + 1)
     ]
+    values = list(range(big_t))
+    out = []
+    for _ in range(r):
+        size = getrandbits(span_bits)
+        while size >= span:
+            size = getrandbits(span_bits)
+        size += min_size
+        pool_steps = steps[size]
+        if pool_steps is None:
+            drawn = set()
+            for _ in range(size):
+                j = getrandbits(t_bits)
+                while j >= big_t or j in drawn:
+                    j = getrandbits(t_bits)
+                drawn.add(j)
+        else:
+            pool, drawn = values[:], []
+            for n, bits in pool_steps:
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                drawn.append(pool[j])
+                pool[j] = pool[n - 1]
+        out.append(tuple(sorted(drawn)))
+    return out
 
 
 def ghz_bias_subgroup(k: int) -> tuple[int, Subgroup]:

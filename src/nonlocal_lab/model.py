@@ -185,6 +185,13 @@ def check_output_alphabet(lhvs: Iterable[DeterministicLhv], l: int) -> None:
                     raise InvalidInput(f"output {v} outside {{0..{l - 1}}}")
 
 
+def _sums_to_one(weights: list[Fraction]) -> bool:
+    """Whether ``weights`` sum to exactly 1, decided by one integer sum of
+    the numerators scaled to the lcm of the denominators."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return sum(w.numerator * (den // w.denominator) for w in weights) == den
+
+
 @dataclass(frozen=True)
 class MixedLhv:
     """Probability distribution over deterministic local models."""
@@ -202,7 +209,7 @@ class MixedLhv:
                 raise ArityMismatch("all components must share (n, k)")
             if w <= 0:
                 raise InvalidInput("component weights must be positive")
-        if sum(w for _, w in comps) != 1:
+        if not _sums_to_one([w for _, w in comps]):
             raise InvalidInput("component weights must sum to 1")
 
     @property

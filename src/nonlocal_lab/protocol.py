@@ -24,6 +24,7 @@ from .model import (
     ModelDistribution,
     Outcome,
     ZERO,
+    _sums_to_one,
 )
 
 Flavor = Literal["shared", "local"]
@@ -194,7 +195,7 @@ class MixedProtocol:
                 raise ArityMismatch("all component trees must share (n, k)")
             if w <= 0:
                 raise InvalidInput("component weights must be positive")
-        if sum(w for _, w in comps) != 1:
+        if not _sums_to_one([w for _, w in comps]):
             raise InvalidInput("component weights must sum to 1")
 
     @property

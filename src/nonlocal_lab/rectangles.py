@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .cyclic import conv, indicator, product
+from .cyclic import conv, indicator, product, random_subsets
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -368,10 +368,9 @@ def scan_rectangles(
             raise InvalidInput(f"need at least 1 sample, got {samples}")
         if samples > budget:
             raise BudgetExceeded(f"{samples} samples exceed budget {budget}")
-        rng, values, examined = rng or random.Random(0), list(range(k)), samples
+        rng, examined = rng or random.Random(0), samples
         rectangles = (
-            tuple(frozenset(rng.sample(values, rng.randint(1, k))) for _ in range(n))
-            for _ in range(samples)
+            tuple(map(frozenset, random_subsets(k, n, rng, min_size=1))) for _ in range(samples)
         )
     else:
         raise InvalidInput(f"unknown scan mode {mode!r}")

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report schemas, formats, and replay."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -282,6 +283,21 @@ def test_rect_scan_replay_is_bit_identical(capsys):
         code2, out2, _ = run_cli(capsys, *argv)
         assert code == code2 == 0
         assert out1 == out2  # sampling draws only from the recorded seed
+
+
+def test_rect_scan_sample_reports_are_pinned(capsys):
+    # digests of the reports drawn with rng.sample/rng.randint per part; the
+    # shared subset drawer must replay them byte for byte
+    pinned = {
+        ("--n", "3", "--k", "2", "--seed", "5"):
+            "1922712f2161df9172b7f1800f8138381306b1a91d6bca303f2d910d908ce324",
+        ("--n", "6", "--k", "4", "--seed", "11", "--samples", "500"):
+            "ec91ae9271b0271d2e599c445662456e2171f929b59574ad2bf2a7be5dc9b40b",
+    }
+    for args, digest in pinned.items():
+        code, out, _ = run_cli(capsys, "rect-scan", *args, "--mode", "sample")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def assert_one_line_exit_two(code, out, err, name):

@@ -487,6 +487,41 @@ def test_random_subsets_checks_the_sizes():
     assert all(len(s) == 0 for s in random_subsets(4, 10, rng, min_size=0, max_size=0))
 
 
+def _sample_reference(big_t, r, rng, min_size=2, max_size=None):
+    """The draw that :func:`random_subsets` must reproduce, set by set."""
+    max_size = big_t if max_size is None else max_size
+    values = list(range(big_t))
+    return [
+        tuple(sorted(rng.sample(values, rng.randint(min_size, max_size))))
+        for _ in range(r)
+    ]
+
+
+def test_random_subsets_follows_the_sample_stream():
+    # T = 32 and 64 reach sample's set case (sizes <= 5); the others its pool case
+    for big_t in (2, 4, 8, 16, 32, 64):
+        for min_size, max_size in ((2, big_t), (2, 2), (0, big_t), (0, 0), (1, big_t), (3, 5)):
+            if max_size > big_t:
+                continue  # (3, 5) needs T >= 5
+            for seed in range(4):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                # two draws off one rng, as the CLI makes them: general sets, then pairs
+                for lo, hi in ((min_size, max_size), (2, 2)):
+                    assert random_subsets(big_t, 60, ours, lo, hi) == _sample_reference(
+                        big_t, 60, theirs, lo, hi
+                    )
+                    assert ours.getstate() == theirs.getstate()
+
+
+def test_random_subsets_refuses_an_rng_without_getrandbits():
+    class Dice(random.Random):
+        def random(self):
+            return 0.5
+
+    with pytest.raises(InvalidInput, match="getrandbits"):
+        random_subsets(4, 10, Dice(0))
+
+
 def test_residue_kernel_cross_module_oracle():
     # both modules' routes to the rectangle residue counts agree with
     # enumerating the rectangle's points

@@ -92,6 +92,18 @@ def test_preimage_of_any_outcome_is_a_rectangle():
             assert direct == product
 
 
+def test_mixture_weights_must_sum_to_one_exactly():
+    lhvs = [const_lhv(2, 2, v) for v in (0, 1, 0)]
+    tiny = F(1, 2**60)
+    for weights in ((F(1, 2), F(1, 2) - tiny), (F(1, 3), F(1, 3), F(1, 3) + tiny), (0.5, 0.25)):
+        with pytest.raises(InvalidInput, match="^component weights must sum to 1$"):
+            MixedLhv(components=tuple(zip(lhvs, weights)))
+    exact = MixedLhv(components=tuple(zip(lhvs, (F(1, 3), F(1, 6), "1/2"))))
+    assert [w for _, w in exact.components] == [F(1, 3), F(1, 6), F(1, 2)]
+    big = MixedLhv(components=tuple((lhv, F(1, 16384)) for lhv in lhvs[:1] * 16384))
+    assert len(big.components) == 16384
+
+
 def test_detection_efficiency_zero_when_one_party_never_clicks():
     problem = uniform_problem(2, 2)
     silent_party = DeterministicLhv(tables=((None, None), (0, 1)))

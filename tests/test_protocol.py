@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_click_lhv, random_mixed_protocol, random_partition, random_tree
-from nonlocal_lab.errors import ArityMismatch, FlavorMismatch, MalformedTree
+from nonlocal_lab.errors import ArityMismatch, FlavorMismatch, InvalidInput, MalformedTree
 from nonlocal_lab.ghz import (
     GhzInstance,
     broadcast_strategy,
@@ -306,6 +306,16 @@ def test_arity_mismatch():
         induced_distribution(
             MixedProtocol(components=((tree, F(1)),)), uniform_problem(3, 2)
         )
+
+
+def test_mixture_weights_must_sum_to_one_exactly():
+    trees = [ProtocolTree(n=2, k=2, root=leaf(((v, v), (v, v)))) for v in (0, 1, 0)]
+    tiny = F(1, 2**60)
+    for weights in ((F(1, 2), F(1, 2) + tiny), (F(1, 3), F(1, 3), F(1, 3) - tiny)):
+        with pytest.raises(InvalidInput, match="^component weights must sum to 1$"):
+            MixedProtocol(components=tuple(zip(trees, weights)))
+    exact = MixedProtocol(components=tuple(zip(trees, (F(1, 3), 0.5, F(1, 6)))))
+    assert [w for _, w in exact.components] == [F(1, 3), F(1, 2), F(1, 6)]
 
 
 def test_conversion_requires_shared_randomness():
