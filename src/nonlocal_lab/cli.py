@@ -148,6 +148,7 @@ def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     problem = ghz.ghz_problem(inst, cap=args.budget)
+    search.check_search_budget(problem, budget=args.budget)
     det = search.best_deterministic_error(problem, budget=args.budget)
     lp = search.eta_star_lp(problem, args.eps_budget, budget=args.budget)
 

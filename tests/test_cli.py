@@ -4,7 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -332,6 +337,27 @@ def test_search_replay_is_bit_identical(capsys):
     code2, out2, _ = run_cli(capsys, "search", "--n", "3", "--k", "2")
     assert code == code2 == 0
     assert out1 == out2
+
+
+def test_search_past_the_budget_fails_fast():
+    # 2**18 click-only strategies would fit; the 3**18 silent-allowed ones
+    # do not, and neither stream is enumerated before the refusal
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("NONLOCAL_LAB_BUDGET", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonlocal_lab.cli", "search", "--n", "9", "--k", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
+    assert proc.stderr == (
+        "BudgetExceeded: 387420489 strategies exceed the budget of 10000000; "
+        "the largest n that fits at k=2 is 7\n"
+    )
+    assert elapsed < 2.0
 
 
 def test_cross_check_mismatch_exits_one(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Optimal classical figures: the exhaustive minimum-error oracle, the exact
 LP for the maximum all-click probability, and the trade-off table."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_weights
-from nonlocal_lab.errors import BudgetExceeded, Infeasible, InvalidInput
+from nonlocal_lab.errors import BudgetExceeded, CrossCheckMismatch, Infeasible, InvalidInput
 from nonlocal_lab.ghz import (
     GhzInstance,
     broadcast_prefix_strategy,
@@ -29,7 +30,7 @@ from nonlocal_lab.search import (
     tradeoff_table,
 )
 from nonlocal_lab.rectangles import scan_rectangles
-from nonlocal_lab.simplex import solve_lp_max
+from test_simplex import _fraction_simplex_reference
 
 F = Fraction
 
@@ -83,6 +84,22 @@ def test_budget_guard():
         best_deterministic_error(problem, budget=10)
     with pytest.raises(BudgetExceeded):
         eta_star_lp(problem, F(0), budget=10)
+
+
+def test_budget_errors_name_the_largest_party_count_that_fits():
+    problem = ghz_problem(GhzInstance(n=9, k=2))
+    with pytest.raises(BudgetExceeded, match=r"^387420489 strategies exceed the budget "
+                       r"of 10000000; the largest n that fits at k=2 is 7$"):
+        search.check_search_budget(problem, budget=10**7)
+    # exactly 3**12 silent-allowed strategies fit; one less refuses, though
+    # the 2**12 click-only ones would still fit
+    search.check_search_budget(ghz_problem(GhzInstance(n=6, k=2)), budget=3**12)
+    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 5"):
+        search.check_search_budget(ghz_problem(GhzInstance(n=6, k=2)), budget=3**12 - 1)
+    with pytest.raises(BudgetExceeded, match="largest n that fits at k=3 is 1$"):
+        best_deterministic_error(ghz_problem(GhzInstance(n=3, k=3)), budget=10)
+    with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
+        detector_columns(ghz_problem(GhzInstance(n=2, k=3)), budget=26)
 
 
 def test_random_mixtures_never_beat_the_vertex_minimum():
@@ -168,7 +185,8 @@ def test_lp_witness_click_probability_is_input_independent():
 
 def full_column_lp_oracle(problem):
     """Independent route: the eta* LP with one column per silent-allowed
-    strategy, (l+1)**(n*k) columns. Returns a solver ``(eps, relaxed) -> q``."""
+    strategy, (l+1)**(n*k) columns, solved by the rational reference tableau.
+    Returns a solver ``(eps, relaxed) -> q``."""
     n, k, l = problem.n, problem.k, problem.l
     support = problem.support
     entries = list(range(l)) + [None]
@@ -200,7 +218,7 @@ def full_column_lp_oracle(problem):
             else:
                 eq.append((row, F(0)))
         ub.append((errs + [-eps], F(0)))
-        return solve_lp_max([F(0)] * m + [F(1)], eq, ub).solution[m]
+        return _fraction_simplex_reference([F(0)] * m + [F(1)], eq, ub)[1][m]
 
     return solve
 
@@ -238,6 +256,38 @@ def test_lp_four_parties_pinned(monkeypatch):
         assert report.optimum == expected
         met = mixed_lhv_metrics(report.witness, problem)
         assert met.eta_n == expected and met.eps <= eps
+
+
+@pytest.mark.parametrize(
+    "perturb,message",
+    [
+        ("scale", "dual objective differs"),
+        ("negative", "negative on a <=-row"),
+        ("shift", "infeasible on LP column"),
+        ("short", "5 entries for 6 rows"),
+    ],
+)
+def test_a_perturbed_dual_is_refused(monkeypatch, perturb, message):
+    columns = detector_columns(ghz_problem(GhzInstance(n=3, k=2)))
+    solve = search.solve_lp_max
+
+    def perturbed(objective, eq_rows, ub_rows):
+        result = solve(objective, eq_rows, ub_rows)
+        y = list(result.dual)
+        if perturb == "scale":  # b . y no longer equals the optimum
+            y[0] *= F(3, 2)
+        elif perturb == "negative":  # the error row's multiplier turns negative
+            y[-1] = -F(1, 7)
+        elif perturb == "shift":  # same b . y (rhs 0), but a column turns infeasible
+            y[1] -= F(1, 1000)
+        else:
+            y = y[:-1]
+        return dataclasses.replace(result, dual=tuple(y))
+
+    search.eta_star_from_columns(columns, F(1, 10))
+    monkeypatch.setattr(search, "solve_lp_max", perturbed)
+    with pytest.raises(CrossCheckMismatch, match=message):
+        search.eta_star_from_columns(columns, F(1, 10))
 
 
 def test_tradeoff_table_consistency_small():
