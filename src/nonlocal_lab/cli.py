@@ -546,11 +546,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.budget is None:
-        args.budget = int(os.environ.get(ENV_BUDGET, DEFAULT_BUDGET))
     if args.command == "tradeoff" and args.c_grid is None:
         args.c_grid = list(range(0, args.n * max(1, math.ceil(math.log2(args.k))) + 1))
+    budget = str(os.environ.get(ENV_BUDGET, DEFAULT_BUDGET) if args.budget is None else args.budget)
     try:
+        if not budget.isdecimal() or int(budget) < 1:
+            raise InvalidInput(f"the budget must be a positive integer, got {budget!r}")
+        args.budget = int(budget)
         report, passed = args.fn(args)
     except NonlocalLabError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

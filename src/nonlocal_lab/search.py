@@ -3,13 +3,12 @@ error over deterministic click-only strategies, maximum input-independent
 all-click probability via an exact LP, and the communication/efficiency
 trade-off table.
 
-The LP has one column per distinct click pattern of the silent-allowed
-strategies, not one per strategy: 12 columns instead of 729 at n=3, k=2,
-42 instead of 6,561 at n=4, 148 at n=5 and 506 at n=6. The (l+1)**(n*k)
-strategies are still enumerated, but streamed. The integer simplex
-(:mod:`nonlocal_lab.simplex`) solves the n=5 LP in about 0.05 s and the
-n=6 LP in about 1.5 s (Python 3.11.7, one core), and every optimum is checked
-against the dual certificate the solver returns.
+Both figures come from one bitmask walk over the per-party tables, which
+needs each input's forbidden outcomes to be none or one output-parity class,
+as in the GHZ problem. The LP has one column per distinct click pattern:
+12 columns instead of 729 strategies at n=3, k=2, 148 at n=5 and 506 at n=6.
+The integer simplex (:mod:`nonlocal_lab.simplex`) solves it, and every
+optimum is checked against the dual certificate the solver returns.
 """
 
 from __future__ import annotations
@@ -18,13 +17,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, CrossCheckMismatch, Infeasible, InvalidInput
 from .ghz import GhzInstance, broadcast_prefix_stats, ghz_problem
 from .model import (
     CorrelationProblem,
     DeterministicLhv,
+    Entry,
     MixedLhv,
     ZERO,
 )
@@ -54,10 +54,6 @@ class SearchReport:
     enumerated: int
 
 
-def _click_tables(k: int, l: int) -> list[tuple[int, ...]]:
-    return [tuple(t) for t in itertools.product(range(l), repeat=k)]
-
-
 def _require_budget(n: int, k: int, symbols: int, budget: int) -> int:
     """The count ``symbols**(n*k)`` of strategies, refused over the budget
     with the largest party count that fits at this ``k``."""
@@ -72,18 +68,83 @@ def _require_budget(n: int, k: int, symbols: int, budget: int) -> int:
 
 
 def check_search_budget(problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET) -> None:
-    """Check, before enumerating anything, that both strategy streams of a
-    search fit the budget: the (l+1)**(n*k) silent-allowed strategies of
-    :func:`detector_columns`, and with them the fewer l**(n*k) click-only
-    ones of :func:`best_deterministic_error`."""
+    """Check, before enumerating anything, that a search fits the budget:
+    the (l+1)**(n*k) silent-allowed strategies of :func:`detector_columns`
+    bound the l**(n*k) click-only ones of :func:`best_deterministic_error`."""
     _require_budget(problem.n, problem.k, problem.l + 1, budget)
 
 
-def _iter_click_strategies(n: int, k: int, l: int) -> Iterator[DeterministicLhv]:
-    """Click-only deterministic strategies in lexicographic table order."""
-    tables = _click_tables(k, l)
-    for combo in itertools.product(tables, repeat=n):
-        yield DeterministicLhv(tables=combo)
+def _lowest_mass_per_pattern(
+    problem: CorrelationProblem, entries: Sequence[Entry]
+) -> list[tuple[int, Fraction, DeterministicLhv, int]]:
+    """Per click pattern over the support, the first strategy of lowest
+    forbidden mass among those whose party tables take values in
+    ``entries``: ``(pattern, mass, strategy, rank)`` by rank in
+    ``itertools.product`` order, the last party fastest.
+
+    A (party, table) is two masks over the support: where it clicks, and
+    where it outputs an odd value. The prefixes grow party by party with
+    ``pattern &= click`` and ``parity ^= odd`` from the promise; the
+    forbidden set ``pattern & parity`` is weighed by popcounts. A prefix
+    reaching the state of an earlier one of its length is dropped, since
+    every strategy it starts repeats an earlier one's pattern and mass.
+    Raises ``InvalidInput`` at the first input whose target row forbids
+    all-click outcomes other than exactly one output-parity class.
+    """
+    n, support = problem.n, problem.support
+    tables = list(itertools.product(entries, repeat=problem.k))
+    outcomes = list(itertools.product(range(problem.l), repeat=n))
+    allowed: dict[int, Optional[int]] = {}  # id(row) -> allowed parity, None if unconstrained
+    by_setting = [[0] * problem.k for _ in range(n)]  # party -> setting -> inputs
+    constrained = promise = 0
+    for xi, x in enumerate(support):
+        row = problem.target[x]
+        if id(row) not in allowed:
+            cells = {(sum(a) % 2, row.get(a, 0) == 0) for a in outcomes}
+            bad = {parity for parity, forbidden in cells if forbidden}
+            if len(bad) > 1 or any((parity, False) in cells for parity in bad):
+                raise InvalidInput(f"the forbidden outcomes at input {x} are not one parity class")
+            allowed[id(row)] = 1 - bad.pop() if bad else None
+        if allowed[id(row)] is not None:
+            constrained |= 1 << xi
+            promise |= allowed[id(row)] << xi
+        for i, v in enumerate(x):
+            by_setting[i][v] |= 1 << xi
+    masks = [  # one party's per-setting masks are disjoint, so sums are unions
+        [
+            (
+                sum(inputs[v] for v, e in enumerate(t) if e is not None),
+                sum(inputs[v] for v, e in enumerate(t) if e is not None and e % 2) & constrained,
+            )
+            for t in tables
+        ]
+        for inputs in by_setting
+    ]
+    weights = [Fraction(problem.mu_weight(x)) for x in support]
+    den = lcm(*(w.denominator for w in weights))
+    groups: dict[int, int] = {}  # input weight in units of 1/den -> those inputs
+    for xi, w in enumerate(weights):
+        groups[int(w * den)] = groups.get(int(w * den), 0) | 1 << xi
+    s = len(tables)
+    # the distinct (pattern, parity) states of the prefixes so far, by first rank
+    level = {((1 << len(support)) - 1, promise): 0}
+    for party in masks:
+        reached: dict[tuple[int, int], int] = {}
+        for (pattern, parity), rank in level.items():
+            for t, (click, odd) in enumerate(party):
+                p = pattern & click
+                reached.setdefault((p, (parity ^ odd) & p), rank * s + t)
+        level = reached
+    kept: dict[int, tuple[int, int]] = {}  # pattern -> (mass in units of 1/den, rank)
+    for (p, q), rank in level.items():
+        m = sum(w * (q & inputs).bit_count() for w, inputs in groups.items())
+        if p not in kept or m < kept[p][0]:
+            kept[p] = (m, rank)
+    places = [s ** (n - 1 - i) for i in range(n)]  # rank digit of party i, base s
+    return [
+        (p, Fraction(m, den), DeterministicLhv(tables=tuple(tables[r // d % s] for d in places)), r)
+        for p, (m, r) in sorted(kept.items(), key=lambda item: item[1][1])
+    ]
 
 
 def best_deterministic_error(
@@ -94,31 +155,19 @@ def best_deterministic_error(
 
     Mixtures cannot do better: the error is linear in the mixing weights, so
     the minimum over the simplex is attained at a vertex. Ties are broken by
-    the first strategy found in lexicographic order.
+    the first strategy in lexicographic order. ``enumerated`` counts the
+    strategies up to and including that witness when the minimum is 0, and
+    all l**(n*k) of them otherwise.
     """
-    _require_budget(problem.n, problem.k, problem.l, budget)
-    support = problem.support
-    weights = [problem.mu_weight(x) for x in support]
-    best: Optional[Fraction] = None
-    witness: Optional[DeterministicLhv] = None
-    count = 0
-    for lhv in _iter_click_strategies(problem.n, problem.k, problem.l):
-        count += 1
-        err = ZERO
-        for x, w in zip(support, weights):
-            if problem.is_forbidden(x, lhv.outputs(x)):
-                err += w
-        if best is None or err < best:
-            best = err
-            witness = lhv
-            if best == 0:
-                break
+    total = _require_budget(problem.n, problem.k, problem.l, budget)
+    # click-only strategies click everywhere: one pattern
+    ((_, optimum, witness, rank),) = _lowest_mass_per_pattern(problem, range(problem.l))
     return SearchReport(
         kind="best_deterministic_error",
         params={"n": problem.n, "k": problem.k, "l": problem.l},
-        optimum=best,
+        optimum=optimum,
         witness=witness,
-        enumerated=count,
+        enumerated=rank + 1 if optimum == 0 else total,
     )
 
 
@@ -146,52 +195,18 @@ class DetectorColumns:
 def detector_columns(
     problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> DetectorColumns:
-    """Stream every silent-allowed deterministic strategy, lexicographic
-    with the silent symbol sorted last, and keep per click pattern the one
-    with the lowest forbidden mass (the first such strategy on ties).
-
-    Click patterns and forbidden masses come from the per-party tables;
-    ``DeterministicLhv`` objects are built only for the kept columns, which
-    are returned in enumeration order.
+    """Over every silent-allowed deterministic strategy, lexicographic with
+    the silent symbol sorted last, keep per click pattern the one with the
+    lowest forbidden mass (the first such strategy on ties), in enumeration
+    order. ``DeterministicLhv`` objects are built only for the kept columns.
     """
-    n, k, l = problem.n, problem.k, problem.l
-    total = _require_budget(n, k, l + 1, budget)
-    entries = list(range(l)) + [None]
-    tables = [tuple(t) for t in itertools.product(entries, repeat=k)]
-    support = problem.support
-    weights = [problem.mu_weight(x) for x in support]
-    # click_masks[i][t]: supported inputs on which party i clicks with table t
-    click_masks = [
-        [
-            sum(1 << xi for xi, x in enumerate(support) if t[x[i]] is not None)
-            for t in tables
-        ]
-        for i in range(n)
-    ]
-    everywhere = (1 << len(support)) - 1
-    kept: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
-    for combo in itertools.product(range(len(tables)), repeat=n):
-        pattern = everywhere
-        for masks, t in zip(click_masks, combo):
-            pattern &= masks[t]
-        err = ZERO
-        for xi, x in enumerate(support):
-            if pattern >> xi & 1:
-                a = tuple(tables[t][v] for t, v in zip(combo, x))
-                if problem.is_forbidden(x, a):
-                    err += weights[xi]
-        best = kept.get(pattern)
-        if best is None or err < best[0]:
-            kept[pattern] = (err, combo)
-    columns = sorted(kept.items(), key=lambda item: item[1][1])
+    total = _require_budget(problem.n, problem.k, problem.l + 1, budget)
+    columns = _lowest_mass_per_pattern(problem, list(range(problem.l)) + [None])
     return DetectorColumns(
         problem=problem,
-        strategies=tuple(
-            DeterministicLhv(tables=tuple(tables[t] for t in combo))
-            for _, (_, combo) in columns
-        ),
-        patterns=tuple(pattern for pattern, _ in columns),
-        err_coef=tuple(err for _, (err, _) in columns),
+        strategies=tuple(strategy for _, _, strategy, _ in columns),
+        patterns=tuple(pattern for pattern, _, _, _ in columns),
+        err_coef=tuple(mass for _, mass, _, _ in columns),
         enumerated=total,
     )
 

@@ -281,6 +281,27 @@ def test_env_budget(tmp_path, capsys, monkeypatch):
     assert code == 2 and "BudgetExceeded" in err
 
 
+@pytest.mark.parametrize(
+    "env,flag,expected",
+    [
+        ("abc", (), "InvalidInput: the budget must be a positive integer, got 'abc'\n"),
+        (None, ("--budget", "0"), "InvalidInput: the budget must be a positive integer, got '0'\n"),
+        (None, ("--budget", "-5"),
+         "InvalidInput: the budget must be a positive integer, got '-5'\n"),
+    ],
+)
+def test_a_non_positive_or_non_integer_budget_is_bad_input(
+    capsys, monkeypatch, env, flag, expected
+):
+    if env is None:
+        monkeypatch.delenv("NONLOCAL_LAB_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("NONLOCAL_LAB_BUDGET", env)
+    code, out, err = run_cli(capsys, "search", "--n", "2", "--k", "2", *flag)
+    assert_one_line_exit_two(code, out, err, "InvalidInput")
+    assert err == expected
+
+
 def test_rect_scan_replay_is_bit_identical(capsys):
     for mode in ("canonical", "sample"):
         argv = ["rect-scan", "--n", "3", "--k", "2", "--seed", "5", "--mode", mode]

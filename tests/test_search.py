@@ -16,6 +16,8 @@ from nonlocal_lab.ghz import (
     ghz_problem,
 )
 from nonlocal_lab.model import (
+    CorrelationProblem,
+    DeterministicLhv,
     MixedLhv,
     mixed_lhv_metrics,
     uniform_problem,
@@ -35,25 +37,150 @@ from test_simplex import _fraction_simplex_reference
 F = Fraction
 
 
-def exhaustive_error_oracle(problem):
-    """Independent route: raw nested loops over all click-only strategies."""
+def generic_best_deterministic_error(problem):
+    """Reference route: the click-only strategies in lexicographic order,
+    with ``is_forbidden`` on every (strategy, input) pair, stopping at the
+    first zero. Returns ``(optimum, witness, enumerated)``."""
     n, k, l = problem.n, problem.k, problem.l
     tables = list(itertools.product(range(l), repeat=k))
-    best = None
+    best = witness = None
+    count = 0
     for combo in itertools.product(tables, repeat=n):
+        lhv = DeterministicLhv(tables=combo)
+        count += 1
         err = F(0)
         for x in problem.support:
-            a = tuple(combo[i][x[i]] for i in range(n))
-            if problem.target_prob(x, a) == 0:
+            if problem.is_forbidden(x, lhv.outputs(x)):
                 err += problem.mu_weight(x)
         if best is None or err < best:
-            best = err
-    return best
+            best, witness = err, lhv
+            if best == 0:
+                break
+    return best, witness, count
+
+
+def generic_detector_columns(problem):
+    """Reference route: every silent-allowed strategy in lexicographic order
+    (silent last), its click pattern over the support and its forbidden mass
+    from ``is_forbidden`` per clicking input; per pattern the lowest mass,
+    first on ties, in enumeration order."""
+    n, k, l = problem.n, problem.k, problem.l
+    tables = list(itertools.product(list(range(l)) + [None], repeat=k))
+    kept = {}
+    for rank, combo in enumerate(itertools.product(tables, repeat=n)):
+        pattern = 0
+        err = F(0)
+        for xi, x in enumerate(problem.support):
+            a = tuple(t[v] for t, v in zip(combo, x))
+            if None not in a:
+                pattern |= 1 << xi
+                if problem.is_forbidden(x, a):
+                    err += problem.mu_weight(x)
+        if pattern not in kept or err < kept[pattern][0]:
+            kept[pattern] = (err, rank, combo)
+    columns = sorted(kept.items(), key=lambda item: item[1][1])
+    return search.DetectorColumns(
+        problem=problem,
+        strategies=tuple(DeterministicLhv(tables=combo) for _, (_, _, combo) in columns),
+        patterns=tuple(pattern for pattern, _ in columns),
+        err_coef=tuple(err for _, (err, _, _) in columns),
+        enumerated=len(tables) ** n,
+    )
+
+
+KERNEL_PROBLEMS = [
+    *(pytest.param(("ghz", n, k), id=f"ghz-{n}-{k}") for n, k in
+      [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)]),
+    pytest.param(("uniform", 2, 2), id="uniform-2-2"),
+    pytest.param(("uniform", 3, 2), id="uniform-3-2"),
+]
+
+
+def _kernel_problem(spec):
+    kind, n, k = spec
+    return ghz_problem(GhzInstance(n=n, k=k)) if kind == "ghz" else uniform_problem(n, k)
+
+
+@pytest.mark.parametrize("spec", KERNEL_PROBLEMS)
+def test_detector_columns_match_the_generic_loop(spec):
+    problem = _kernel_problem(spec)
+    assert detector_columns(problem) == generic_detector_columns(problem)
+
+
+@pytest.mark.parametrize("spec", KERNEL_PROBLEMS)
+def test_best_deterministic_error_matches_the_generic_loop(spec):
+    problem = _kernel_problem(spec)
+    report = best_deterministic_error(problem)
+    assert (report.optimum, report.witness, report.enumerated) == (
+        generic_best_deterministic_error(problem)
+    )
+
+
+def test_kernel_handles_non_uniform_weights_and_unconstrained_inputs():
+    rng = random.Random(11)
+    for n, free_inputs in ((3, 0), (3, 0), (4, 0), (4, 1), (4, 1)):
+        base = ghz_problem(GhzInstance(n=n, k=2))
+        free = {a: F(1, 2**n) for a in itertools.product(range(2), repeat=n)}
+        unconstrained = rng.sample(base.support, free_inputs)
+        raw = [rng.randint(1, 4) for _ in base.support]
+        problem = CorrelationProblem(
+            n=n, k=2, l=2,
+            mu={x: F(r, sum(raw)) for x, r in zip(base.support, raw)},
+            target={x: free if x in unconstrained else base.target[x] for x in base.support},
+        )
+        columns = detector_columns(problem)
+        assert columns == generic_detector_columns(problem)
+        assert any(columns.err_coef)  # the weights decide some column
+        report = best_deterministic_error(problem)
+        assert (report.optimum, report.witness, report.enumerated) == (
+            generic_best_deterministic_error(problem)
+        )
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {(0, 0): F(1)},  # forbids both odd outcomes and the even (1, 1)
+        {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 3)},  # forbids only (1, 1)
+    ],
+)
+def test_forbidden_sets_outside_the_parity_classes_are_refused(row):
+    inputs = list(itertools.product(range(2), repeat=2))
+    even = {a: F(1, 2) for a in itertools.product(range(2), repeat=2) if sum(a) % 2 == 0}
+    problem = CorrelationProblem(
+        n=2, k=2, l=2,
+        mu={x: F(1, 4) for x in inputs},
+        target={x: row if x == (0, 1) else even for x in inputs},
+    )
+    message = r"^the forbidden outcomes at input \(0, 1\) are not one parity class$"
+    with pytest.raises(InvalidInput, match=message):
+        detector_columns(problem)
+    with pytest.raises(InvalidInput, match=message):
+        best_deterministic_error(problem)
+
+
+@pytest.mark.parametrize(
+    "n,k,columns_count,eta,click_only,enumerated",
+    [(6, 2, 506, F(5, 56), F(3, 8), 4096), (3, 4, 1096, F(7, 12), F(1, 4), 4096)],
+)
+def test_reach_pinned_at_a_tenth(n, k, columns_count, eta, click_only, enumerated):
+    problem = ghz_problem(GhzInstance(n=n, k=k))
+    eps = F(1, 10)
+    det = best_deterministic_error(problem)
+    assert (det.optimum, det.enumerated) == (click_only, enumerated)
+    single = MixedLhv(components=((det.witness, F(1)),))
+    assert mixed_lhv_metrics(single, problem).eps == click_only
+    columns = detector_columns(problem)
+    assert len(columns.patterns) == columns_count
+    report = search.eta_star_from_columns(columns, eps)
+    assert report.optimum == eta
+    met = mixed_lhv_metrics(report.witness, problem)
+    assert met.eta_n == eta and met.eps <= eps
 
 
 def test_mermin_figure_confirmed_by_oracle():
     problem = ghz_problem(GhzInstance(n=3, k=2))
-    oracle = exhaustive_error_oracle(problem)
+    oracle, _, _ = generic_best_deterministic_error(problem)
     assert oracle == F(1, 4)
     report = best_deterministic_error(problem)
     assert report.optimum == F(1, 4)
@@ -68,9 +195,11 @@ def test_mermin_figure_confirmed_by_oracle():
 
 def test_two_party_instance_is_exactly_solvable():
     problem = ghz_problem(GhzInstance(n=2, k=2))
-    assert exhaustive_error_oracle(problem) == 0
+    assert generic_best_deterministic_error(problem)[0] == 0
     report = best_deterministic_error(problem)
     assert report.optimum == 0
+    # the second click-only strategy already has error 0
+    assert report.enumerated == 2 and report.witness.tables == ((0, 0), (0, 1))
 
 
 def test_full_support_target_has_zero_error():
@@ -110,8 +239,6 @@ def test_random_mixtures_never_beat_the_vertex_minimum():
     all_strategies = [
         tuple(combo) for combo in itertools.product(tables, repeat=3)
     ]
-    from nonlocal_lab.model import DeterministicLhv
-
     for _ in range(100):
         count = rng.randint(1, 5)
         picks = [
