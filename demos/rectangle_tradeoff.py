@@ -20,12 +20,13 @@ from nonlocal_lab import (
     ProtocolTree,
     Rectangle,
     advantage_bias_relation,
-    bias,
+    cross_check_problem,
     error_probability,
     ghz_problem,
     induced_distribution,
     mixed_cost,
     mixed_lhv_metrics,
+    rectangle_stats,
     rectangle_tradeoff_check,
     residue_counts,
     scan_rectangles,
@@ -63,16 +64,19 @@ def main() -> None:
     cube = Rectangle(k=2, sets=(frozenset({0, 1}),) * 3)
     print("The full input cube, counted by residue of the setting sum mod 4:")
     print(" ", residue_counts(cube, 4))
-    print(f"  parity classes inside the promise: n0=1, n1=3, bias = {bias(cube, inst)}")
-    rep = advantage_bias_relation(cube, inst)
+    stats = rectangle_stats(cube, inst)
     print(
-        f"  max outcome advantage {rep.max_advantage} "
-        f"= (1+bias)/(2+bias) = {rep.advantage_from_bias}\n"
+        f"  parity classes inside the promise: n0={stats.n0}, n1={stats.n1}, bias = {stats.bias}"
+    )
+    assert advantage_bias_relation(stats, cross_check_problem(inst))
+    print(
+        f"  max outcome advantage {stats.max_advantage} = (1+bias)/(2+bias), "
+        "also over every click outcome\n"
     )
 
     print("Exact weight caps over all rectangles meeting a threshold:")
     deltas = (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8))
-    scans = scan_rectangles(inst, deltas, mode="lattice")
+    scans = scan_rectangles(inst, deltas)
     for res in scans:
         print(f"  advantage >= {res.delta}: max weight {res.r_cap} "
               f"(witness sets {[sorted(s) for s in res.witness]})")
@@ -88,8 +92,8 @@ def main() -> None:
         eps = error_probability(induced_distribution(mp, problem), problem)
         met = mixed_lhv_metrics(to_detector_model(mp), problem)
         for s in scans:
-            assert rectangle_tradeoff_check(s.delta, s.r_cap, c, Fraction(1), eps, 2, 3)
-            assert rectangle_tradeoff_check(s.delta, s.r_cap, 0, met.eta_n, met.eps, 2, 3)
+            assert rectangle_tradeoff_check(s.delta, s.r_cap, c, Fraction(1), eps, 3)
+            assert rectangle_tradeoff_check(s.delta, s.r_cap, 0, met.eta_n, met.eps, 3)
             checks += 2
     print(f"  all {checks} checks hold exactly.")
 

@@ -93,6 +93,8 @@ from .rectangles import (
     advantage,
     advantage_bias_relation,
     bias,
+    cross_check_problem,
+    eta_n_bound,
     involvement,
     iter_rectangles,
     rectangle_stats,

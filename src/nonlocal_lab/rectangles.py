@@ -1,12 +1,13 @@
 """Rectangle combinatorics over the input space: admissible-outcome
-advantage, parity bias, exact residue counting by convolution, and the
-communication/efficiency/error trade-off inequality driven by rectangle
-weight caps.
+advantage, parity bias, exact residue counting by convolution, one exact
+weight-cap scan (a party-by-party pass over residue vectors mod 2k), and
+the communication/efficiency/error trade-off inequality driven by the caps.
 
 A rectangle is a Cartesian product of per-party setting subsets; it is
 exactly the shape of any deterministic local model's preimage of a fixed
 outcome, which is why caps on "advantaged" rectangles constrain every
-classical model.
+classical model. :class:`RectangleStats` is the one per-rectangle record:
+its parity-class counts give the bias and the maximum advantage.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import functools
 import io
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .cyclic import conv, indicator, product, random_subsets
+from .cyclic import conv, indicator, product
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -29,16 +29,19 @@ from .errors import (
     EmptyIntersection,
     EmptyWeight,
     InvalidInput,
+    count_text,
+    largest_n_text,
 )
-from .ghz import GhzInstance, ghz_problem
+from .ghz import OUTPUTS, GhzInstance, ghz_problem
 from .model import CorrelationProblem, OutcomeVector, all_click
 
 INFINITE = math.inf
 
-#: default cap on the number of rectangles an exhaustive scan may visit
+#: default cap on the party-permutation classes a scan may cover
 DEFAULT_SCAN_BUDGET = 1 << 24
 #: advantage_bias_relation recomputes the advantage generically only when
-#: valid inputs times click outcomes number at most this many
+#: valid inputs times click outcomes number at most this many (see
+#: cross_check_problem)
 _CROSS_CHECK_BUDGET = 1 << 20
 
 
@@ -112,89 +115,15 @@ def advantage(r: Rectangle, a: OutcomeVector, problem: CorrelationProblem) -> Fr
     return admissible / weight
 
 
-def _parity_counts(counts: dict[int, int], k: int) -> tuple[int, int]:
-    """The two promise-parity classes (residues 0 and k mod 2k) of a
-    rectangle's residue counts; both empty means no valid input inside."""
-    n0, n1 = counts[0], counts[k]
-    if n0 + n1 == 0:
-        raise EmptyIntersection("rectangle contains no valid inputs")
-    return n0, n1
-
-
-def _parity_bias(n0: int, n1: int):
-    """(1 + bias) is the larger parity class over the smaller one;
-    ``math.inf`` when exactly one class is empty."""
-    if min(n0, n1) == 0:
-        return INFINITE
-    return Fraction(max(n0, n1), min(n0, n1)) - 1
-
-
 def _max_advantage(n0: int, n1: int) -> Fraction:
+    """The larger promise-parity class's share of a rectangle's valid inputs."""
     return Fraction(max(n0, n1), n0 + n1)
-
-
-def bias(r: Rectangle, inst: GhzInstance):
-    """Smallest delta such that the two parity classes of valid inputs inside
-    the rectangle are within a factor (1+delta) of each other.
-
-    Returns ``math.inf`` when one class is empty and the other is not.
-    """
-    return _parity_bias(*_parity_counts(residue_counts(r, 2 * inst.k), inst.k))
-
-
-@dataclass(frozen=True)
-class BiasAdvantageReport:
-    """Both sides of the bias <-> advantage correspondence for one rectangle."""
-
-    n0: int
-    n1: int
-    bias: object  # Fraction or math.inf
-    max_advantage: Fraction
-    advantage_from_bias: Fraction
-    cross_checked: bool
-    passed: bool
-
-
-def advantage_bias_relation(r: Rectangle, inst: GhzInstance) -> BiasAdvantageReport:
-    """Verify that bias <= delta holds exactly when every click outcome has
-    advantage at most (1+delta)/(2+delta).
-
-    Both quantities reduce to the two parity-class counts, so the check is
-    the exact identity max_advantage == (1+bias)/(2+bias) (advantage 1 for
-    one-sided rectangles). When the instance is small enough the maximum
-    advantage is recomputed from the generic per-outcome definition as an
-    independent route.
-    """
-    n0, n1 = _parity_counts(residue_counts(r, 2 * inst.k), inst.k)
-    b = _parity_bias(n0, n1)
-    max_adv = _max_advantage(n0, n1)
-    expected = Fraction(1) if b == INFINITE else (1 + b) / (2 + b)
-    passed = max_adv == expected
-
-    work = inst.valid_input_count() * 2**inst.n
-    cross_checked = False
-    if passed and work <= _CROSS_CHECK_BUDGET:
-        problem = ghz_problem(inst)
-        generic = max(
-            advantage(r, a, problem)
-            for a in itertools.product(range(2), repeat=inst.n)
-        )
-        cross_checked = True
-        passed = generic == max_adv
-    return BiasAdvantageReport(
-        n0=n0,
-        n1=n1,
-        bias=b,
-        max_advantage=max_adv,
-        advantage_from_bias=expected,
-        cross_checked=cross_checked,
-        passed=passed,
-    )
 
 
 @dataclass(frozen=True)
 class RectangleStats:
-    """Exact per-rectangle figures used by scans and reports."""
+    """Exact per-rectangle figures: the one record behind :func:`bias`,
+    :func:`advantage_bias_relation` and :func:`stats_to_csv`."""
 
     sets: tuple[frozenset[int], ...]
     size: int
@@ -205,13 +134,20 @@ class RectangleStats:
     bias: object  # Fraction or math.inf
     advantage_even: Fraction
     advantage_odd: Fraction
+    max_advantage: Fraction
     mu_weight: Fraction
 
 
 def rectangle_stats(r: Rectangle, inst: GhzInstance) -> RectangleStats:
+    """All figures from one residue count mod 2k. The promise-parity
+    classes are residues 0 and k; ``bias`` is the larger class over the
+    smaller one, minus 1, and ``math.inf`` when exactly one is empty.
+    Raises ``EmptyIntersection`` when both are."""
     counts = residue_counts(r, 2 * inst.k)
-    n0, n1 = _parity_counts(counts, inst.k)
+    n0, n1 = counts[0], counts[inst.k]
     total = n0 + n1
+    if total == 0:
+        raise EmptyIntersection("rectangle contains no valid inputs")
     return RectangleStats(
         sets=r.sets,
         size=r.size,
@@ -219,11 +155,52 @@ def rectangle_stats(r: Rectangle, inst: GhzInstance) -> RectangleStats:
         counts=counts,
         n0=n0,
         n1=n1,
-        bias=_parity_bias(n0, n1),
+        bias=INFINITE if min(n0, n1) == 0 else Fraction(max(n0, n1), min(n0, n1)) - 1,
         advantage_even=Fraction(n0, total),
         advantage_odd=Fraction(n1, total),
+        max_advantage=_max_advantage(n0, n1),
         mu_weight=Fraction(total, inst.valid_input_count()),
     )
+
+
+def bias(r: Rectangle, inst: GhzInstance):
+    """Smallest delta such that the two parity classes of valid inputs inside
+    the rectangle are within a factor (1+delta) of each other.
+
+    Returns ``math.inf`` when one class is empty and the other is not.
+    """
+    return rectangle_stats(r, inst).bias
+
+
+def cross_check_problem(inst: GhzInstance) -> Optional[CorrelationProblem]:
+    """The problem :func:`advantage_bias_relation` recomputes advantages on,
+    or ``None`` when valid inputs times click outcomes exceed
+    ``_CROSS_CHECK_BUDGET``. Build it once and pass it for every rectangle."""
+    if inst.valid_input_count() * 2**inst.n > _CROSS_CHECK_BUDGET:
+        return None
+    return ghz_problem(inst)
+
+
+def advantage_bias_relation(
+    stats: RectangleStats, problem: Optional[CorrelationProblem]
+) -> bool:
+    """Verify that bias <= delta holds exactly when every click outcome has
+    advantage at most (1+delta)/(2+delta).
+
+    Both quantities reduce to the two parity-class counts, so the check is
+    the exact identity max_advantage == (1+bias)/(2+bias) (advantage 1 for
+    one-sided rectangles). Given a ``problem`` (see
+    :func:`cross_check_problem`), the maximum advantage is also recomputed
+    from the generic per-outcome definition as an independent route.
+    """
+    b = stats.bias
+    if stats.max_advantage != (1 if b == INFINITE else (1 + b) / (2 + b)):
+        return False
+    if problem is None:
+        return True
+    r = Rectangle(k=problem.k, sets=stats.sets)
+    outcomes = itertools.product(range(problem.l), repeat=problem.n)
+    return max(advantage(r, a, problem) for a in outcomes) == stats.max_advantage
 
 
 def stats_to_csv(stats: Sequence[RectangleStats]) -> str:
@@ -244,36 +221,41 @@ def stats_to_csv(stats: Sequence[RectangleStats]) -> str:
                 s.n0,
                 s.n1,
                 bias_txt,
-                str(_max_advantage(s.n0, s.n1)),
+                str(s.max_advantage),
                 str(s.mu_weight),
             ]
         )
     return buf.getvalue()
 
 
-def rectangle_tradeoff_check(
-    delta: Fraction,
-    r_cap: Fraction,
-    c: int,
-    eta_n: Fraction,
-    eps: Fraction,
-    l: int,
-    n: int,
-) -> bool:
-    """Exactly evaluate the rectangle-cap constraint on a classical model:
+def eta_n_bound(
+    delta: Fraction, r_cap: Fraction, c: int, eps: Fraction, n: int
+) -> Optional[Fraction]:
+    """The largest all-click probability eta**n that the rectangle-cap
+    constraint allows a classical model with ``c`` bits and error ``eps``:
 
         (eta_n / 2**c) * (1 - eps/(1-delta)) <= l**n * r_cap
 
     valid whenever every rectangle with some outcome-advantage >= delta has
-    input weight at most ``r_cap``. A sound cap can never make this fail.
+    input weight at most ``r_cap``; ``l`` is the GHZ output alphabet size.
+    ``None`` when eps >= 1 - delta, where the constraint says nothing.
     """
     if not 0 <= delta < 1:
         raise DeltaOutOfRange(f"delta must be in [0, 1), got {delta}")
     if c < 0:
         raise InvalidInput(f"bit count c must be >= 0, got {c}")
-    lhs = Fraction(1, 2**c) * eta_n * (1 - eps / (1 - delta))
-    rhs = Fraction(l**n) * r_cap
-    return lhs <= rhs
+    if eps >= 1 - delta:
+        return None
+    return 2**c * Fraction(OUTPUTS**n) * r_cap / (1 - eps / (1 - delta))
+
+
+def rectangle_tradeoff_check(
+    delta: Fraction, r_cap: Fraction, c: int, eta_n: Fraction, eps: Fraction, n: int
+) -> bool:
+    """Exactly evaluate the rectangle-cap constraint of :func:`eta_n_bound`
+    on a classical model. A sound cap can never make this fail."""
+    bound = eta_n_bound(delta, r_cap, c, eps, n)
+    return bound is None or eta_n <= bound
 
 
 def _subsets(k: int) -> list[frozenset[int]]:
@@ -295,8 +277,7 @@ class ScanResult:
 
     delta: Fraction
     r_cap: Fraction
-    exact: bool
-    examined: int  # rectangles visited; for canonical, residue vectors kept over all layers
+    examined: int  # residue vectors kept over all layers of the pass
     witness: Optional[tuple[frozenset[int], ...]]
 
 
@@ -322,26 +303,19 @@ def _residue_pass(n: int, k: int, parts: list, vector) -> tuple[list, int]:
 
 
 def scan_rectangles(
-    inst: GhzInstance,
-    deltas: Sequence[Fraction],
-    budget: int = DEFAULT_SCAN_BUDGET,
-    mode: str = "canonical",
-    samples: int = 10000,
-    rng: Optional[random.Random] = None,
+    inst: GhzInstance, deltas: Sequence[Fraction], budget: int = DEFAULT_SCAN_BUDGET
 ) -> tuple[ScanResult, ...]:
     """Maximum input weight over rectangles with some advantage >= delta:
-    one result per delta of the grid, in grid order, from one scan. Each
-    delta's witness is the first strictly heavier qualifying rectangle. Modes:
+    one exact result per delta of the grid, in grid order, from one pass.
+    Each delta's witness is the first strictly heavier qualifying rectangle.
 
-    * ``"lattice"``: every rectangle in the subset lattice (exact; budget
-      applies to the rectangle count); the test oracle for ``canonical``.
-    * ``"canonical"``: exact as well. A rectangle enters the caps only
-      through its residue-count vector mod 2k, a convolution of per-party
-      indicator vectors, so ``_residue_pass`` keeps each vector once. The
-      budget applies to the party-permutation class count
-      C(n + 2**k - 2, 2**k - 1), which bounds the vectors of any layer.
-    * ``"sample"``: random rectangles, drawn once for the whole grid; the
-      results are lower bounds on the true maxima (``exact=False``).
+    A rectangle enters the caps only through its residue-count vector mod
+    2k, a convolution of per-party indicator vectors, so ``_residue_pass``
+    keeps each vector once. The budget applies to the party-permutation
+    class count C(n + 2**k - 2, 2**k - 1), which bounds the vectors of any
+    layer; it is checked from the 2**k - 1 nonempty parts before any of
+    them is built. The test suite compares the pass with a walk over every
+    rectangle of the lattice.
     """
     for delta in deltas:
         if not 0 <= delta <= 1:
@@ -349,34 +323,18 @@ def scan_rectangles(
     if not deltas:
         return ()  # nothing to fold, so nothing to scan
     n, k = inst.n, inst.k
+    nparts = 2**k - 1
+    bound = math.comb(n + nparts - 1, nparts - 1)
+    if bound > budget:
+        raise BudgetExceeded(
+            f"canonical scan: up to {count_text(bound, f'C({n}+2^{k}-2, 2^{k}-1)')} vectors "
+            f"per layer exceed {budget}; "
+            + largest_n_text(k, lambda m: math.comb(m + nparts - 1, nparts - 1) <= budget)
+        )
+    parts = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
     # one indicator vector per distinct part, shared by every rectangle
     vector = functools.cache(lambda part: indicator(2 * k, part))
-
-    if mode == "lattice":
-        examined = (2**k - 1) ** n
-        if examined > budget:
-            raise BudgetExceeded(f"lattice scan of {examined} rectangles exceeds {budget}")
-        rectangles = itertools.product(_subsets(k), repeat=n)
-    elif mode == "canonical":
-        parts = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
-        bound = math.comb(n + len(parts) - 1, len(parts) - 1)
-        if bound > budget:
-            raise BudgetExceeded(f"canonical scan: up to {bound} vectors per layer exceed {budget}")
-        candidates, examined = _residue_pass(n, k, parts, vector)
-    elif mode == "sample":
-        if samples < 1:
-            raise InvalidInput(f"need at least 1 sample, got {samples}")
-        if samples > budget:
-            raise BudgetExceeded(f"{samples} samples exceed budget {budget}")
-        rng, examined = rng or random.Random(0), samples
-        rectangles = (
-            tuple(map(frozenset, random_subsets(k, n, rng, min_size=1))) for _ in range(samples)
-        )
-    else:
-        raise InvalidInput(f"unknown scan mode {mode!r}")
-    if mode != "canonical":
-        counted = ((sets, product(map(vector, sets))) for sets in rectangles)
-        candidates = ((sets, counts[0], counts[k]) for sets, counts in counted)
+    candidates, examined = _residue_pass(n, k, parts, vector)
 
     best, witness = [0] * len(deltas), [None] * len(deltas)
     for sets, n0, n1 in candidates:
@@ -385,6 +343,6 @@ def scan_rectangles(
                 best[i], witness[i] = n0 + n1, sets
     denom = inst.valid_input_count()
     return tuple(
-        ScanResult(delta, Fraction(total, denom), mode != "sample", examined, w)
+        ScanResult(delta, Fraction(total, denom), examined, w)
         for delta, total, w in zip(deltas, best, witness)
     )

@@ -19,7 +19,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, CrossCheckMismatch, Infeasible, InvalidInput
+from .errors import (
+    BudgetExceeded,
+    CrossCheckMismatch,
+    Infeasible,
+    InvalidInput,
+    count_text,
+    largest_n_text,
+)
 from .ghz import GhzInstance, broadcast_prefix_stats, ghz_problem
 from .model import (
     CorrelationProblem,
@@ -28,7 +35,7 @@ from .model import (
     MixedLhv,
     ZERO,
 )
-from .rectangles import ScanResult, rectangle_tradeoff_check, scan_rectangles
+from .rectangles import ScanResult, eta_n_bound, rectangle_tradeoff_check, scan_rectangles
 from .simplex import LpResult, solve_lp_max
 
 #: default cap on enumerated strategy vertices
@@ -60,11 +67,10 @@ def _require_budget(n: int, k: int, symbols: int, budget: int) -> int:
     total = symbols ** (n * k)
     if total <= budget:
         return total
-    fits = 0
-    while symbols ** ((fits + 1) * k) <= budget:
-        fits += 1
-    largest = f"the largest n that fits at k={k} is {fits}" if fits else f"no n fits at k={k}"
-    raise BudgetExceeded(f"{total} strategies exceed the budget of {budget}; {largest}")
+    raise BudgetExceeded(
+        f"{count_text(total, f'{symbols}^{n * k}')} strategies exceed the budget of {budget}; "
+        + largest_n_text(k, lambda m: symbols ** (m * k) <= budget)
+    )
 
 
 def check_search_budget(problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET) -> None:
@@ -340,7 +346,6 @@ class TradeoffRow:
     achievable_eta_n: Optional[Fraction]
     achievable_source: str
     bound_eta_n: Optional[Fraction]
-    bound_exact: bool
 
 
 @dataclass(frozen=True)
@@ -354,18 +359,10 @@ class TradeoffTable:
 def _bound_eta_n(
     inst: GhzInstance, scans: Sequence[ScanResult], c: int, eps: Fraction
 ) -> Optional[Fraction]:
-    """Best rearranged rectangle-cap bound on eta**n at the grid point."""
-    best: Optional[Fraction] = None
-    l_pow = Fraction(2**inst.n)
-    for scan in scans:
-        if eps >= 1 - scan.delta:
-            continue  # the inequality constrains nothing here
-        value = 2**c * l_pow * scan.r_cap / (1 - eps / (1 - scan.delta))
-        if best is None or value < best:
-            best = value
-    if best is None:
-        return None
-    return min(best, ONE)
+    """Best rectangle-cap bound on eta**n at the grid point, at most 1."""
+    bounds = [eta_n_bound(s.delta, s.r_cap, c, eps, inst.n) for s in scans if s.delta < 1]
+    bounds = [b for b in bounds if b is not None]
+    return min(min(bounds), ONE) if bounds else None
 
 
 def tradeoff_table(
@@ -386,8 +383,8 @@ def tradeoff_table(
     """
     if any(c < 0 for c in c_grid):
         raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
+    scans = scan_rectangles(inst, delta_grid, budget=scan_budget)  # may refuse: do it first
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
-    scans = scan_rectangles(inst, delta_grid, budget=scan_budget)
     lp_ok = 3 ** (inst.n * inst.k) <= _LP_BUDGET  # binary outputs plus silence
     columns = detector_columns(ghz_problem(inst)) if lp_ok else None
     lp_cache: dict[Fraction, Fraction] = {}
@@ -415,7 +412,6 @@ def tradeoff_table(
                     achievable_eta_n=best,
                     achievable_source=source,
                     bound_eta_n=_bound_eta_n(inst, scans, c, eps),
-                    bound_exact=all(s.exact for s in scans),
                 )
             )
     return TradeoffTable(
@@ -432,7 +428,7 @@ def model_respects_rectangle_bound(
 ) -> bool:
     """Check one measured (c, eta**n, eps) triple against every scanned cap."""
     return all(
-        rectangle_tradeoff_check(s.delta, s.r_cap, c, eta_n, eps, 2, inst.n)
+        rectangle_tradeoff_check(s.delta, s.r_cap, c, eta_n, eps, inst.n)
         for s in scans
         if s.delta < 1
     )

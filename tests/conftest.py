@@ -1,15 +1,48 @@
-"""Shared random generators for protocol and model tests.
+"""Shared random generators for protocol and model tests, and the lattice
+oracle for the rectangle scan.
 
 All randomness is seeded at the call site so every test run is replayable.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
+from nonlocal_lab.cyclic import indicator, product
+from nonlocal_lab.ghz import GhzInstance
 from nonlocal_lab.model import DeterministicLhv, MixedLhv
 from nonlocal_lab.protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree
+from nonlocal_lab.rectangles import ScanResult
+
+
+def lattice_scan(inst: GhzInstance, deltas) -> tuple[ScanResult, ...]:
+    """Oracle for ``rectangles.scan_rectangles``: every rectangle of the
+    subset lattice, the last party fastest and each party's subsets by size,
+    then lexicographically (``iter_rectangles`` order), counted by residue
+    mod 2k. Each delta keeps the first strictly heavier rectangle with some
+    advantage >= delta; ``examined`` is the lattice size."""
+    if not deltas:
+        return ()
+    n, k = inst.n, inst.k
+    subsets = [
+        frozenset(s) for size in range(1, k + 1) for s in itertools.combinations(range(k), size)
+    ]
+    vector = functools.cache(lambda part: indicator(2 * k, part))
+    best, witness = [0] * len(deltas), [None] * len(deltas)
+    for sets in itertools.product(subsets, repeat=n):
+        counts = product([vector(s) for s in sets])
+        n0, n1 = counts[0], counts[k]
+        for i, delta in enumerate(deltas):
+            if n0 + n1 > best[i] and Fraction(max(n0, n1), n0 + n1) >= delta:
+                best[i], witness[i] = n0 + n1, sets
+    denom = inst.valid_input_count()
+    return tuple(
+        ScanResult(delta, Fraction(total, denom), len(subsets) ** n, w)
+        for delta, total, w in zip(deltas, best, witness)
+    )
 
 
 def random_click_lhv(rng: random.Random, n: int, k: int, l: int = 2) -> DeterministicLhv:

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_mixed_protocol
+from conftest import lattice_scan, random_mixed_protocol
 from nonlocal_lab.cyclic import (
     INFINITE,
     MultisetZ,
@@ -47,8 +47,10 @@ from nonlocal_lab.rectangles import (
     EmptyIntersection,
     Rectangle,
     advantage_bias_relation,
+    cross_check_problem,
     involvement,
     iter_rectangles,
+    rectangle_stats,
     rectangle_tradeoff_check,
     residue_counts,
     scan_rectangles,
@@ -129,8 +131,8 @@ def test_criterion_4_tradeoff_inequality_soundness():
         inst = GhzInstance(n=3, k=2)
         problem = ghz_problem(inst)
         deltas = (F(1, 2), F(3, 4), F(7, 8))
-        scans = scan_rectangles(inst, deltas, mode="lattice")
-        assert all(s.exact for s in scans)
+        scans = lattice_scan(inst, deltas)
+        assert [s.r_cap for s in scans] == [s.r_cap for s in scan_rectangles(inst, deltas)]
         rng = random.Random(4321)
         for trial in range(1000):
             mp = random_mixed_protocol(rng, 3, 2, max_depth=3)
@@ -142,11 +144,11 @@ def test_criterion_4_tradeoff_inequality_soundness():
             for s in scans:
                 # the protocol itself: c bits, every detector clicks
                 assert rectangle_tradeoff_check(
-                    s.delta, s.r_cap, c, F(1), eps, 2, 3
+                    s.delta, s.r_cap, c, F(1), eps, 3
                 ), (trial, s.delta)
                 # the converted model: no bits, 2^-c click probability
                 assert rectangle_tradeoff_check(
-                    s.delta, s.r_cap, 0, met.eta_n, met.eps, 2, 3
+                    s.delta, s.r_cap, 0, met.eta_n, met.eps, 3
                 ), (trial, s.delta)
 
 
@@ -211,14 +213,15 @@ def test_criterion_7_rectangle_kernel():
             assert residue_counts(r, modulus) == brute
         for n in (3, 4):
             inst = GhzInstance(n=n, k=2)
+            problem = cross_check_problem(inst)
             for r in iter_rectangles(inst):
                 m = involvement(r)
                 assert r.size <= 2**m  # k = 2
                 try:
-                    rep = advantage_bias_relation(r, inst)
+                    stats = rectangle_stats(r, inst)
                 except EmptyIntersection:
                     continue
-                assert rep.passed
+                assert advantage_bias_relation(stats, problem)
 
 
 def test_criterion_8_broadcast_protocol():
@@ -251,7 +254,6 @@ def test_criterion_9_desk_scale_gap_reports():
             c_grid = [0, 2, 4, n * math.ceil(math.log2(k))]
             eps_grid = [F(0), F(1, 10)]
             table = tradeoff_table(inst, c_grid, eps_grid)
-            assert all(s.exact for s in table.scans)
             gaps = []
             for row in table.rows:
                 if row.achievable_eta_n is None or row.bound_eta_n is None:

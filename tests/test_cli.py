@@ -77,9 +77,7 @@ def test_search_report(capsys):
 
 
 def test_rect_scan_report(capsys):
-    code, out, _ = run_cli(
-        capsys, "rect-scan", "--n", "3", "--k", "2", "--mode", "lattice"
-    )
+    code, out, _ = run_cli(capsys, "rect-scan", "--n", "3", "--k", "2")
     assert code == 0
     report = json.loads(out)
     deltas = {tuple(s["delta"].items()) for s in report["scans"]}
@@ -141,6 +139,7 @@ def test_addition_budget_bounds_the_draw(capsys):
         ["search", "--n", "3", "--k", "2"],
         ["tradeoff", "--n", "3", "--k", "2"],
         ["protocol-run", "--tree", "tree.json"],
+        ["rect-scan", "--n", "3", "--k", "2"],
     ],
 )
 def test_seed_is_not_an_option_where_nothing_is_random(capsys, argv):
@@ -303,27 +302,46 @@ def test_a_non_positive_or_non_integer_budget_is_bad_input(
 
 
 def test_rect_scan_replay_is_bit_identical(capsys):
-    for mode in ("canonical", "sample"):
-        argv = ["rect-scan", "--n", "3", "--k", "2", "--seed", "5", "--mode", mode]
-        code, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv)
-        assert code == code2 == 0
-        assert out1 == out2  # sampling draws only from the recorded seed
+    argv = ["rect-scan", "--n", "3", "--k", "2"]
+    code, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
+    assert code == code2 == 0
+    assert out1 == out2
 
 
-def test_rect_scan_sample_reports_are_pinned(capsys):
-    # digests of the reports drawn with rng.sample/rng.randint per part; the
-    # shared subset drawer must replay them byte for byte
+def test_rect_scan_reports_are_pinned(capsys):
+    # digests recorded while rect-scan still took --mode and --seed, with
+    # params.mode and params.seed taken out of those reports
     pinned = {
-        ("--n", "3", "--k", "2", "--seed", "5"):
-            "1922712f2161df9172b7f1800f8138381306b1a91d6bca303f2d910d908ce324",
-        ("--n", "6", "--k", "4", "--seed", "11", "--samples", "500"):
-            "ec91ae9271b0271d2e599c445662456e2171f929b59574ad2bf2a7be5dc9b40b",
+        ("--n", "5", "--k", "2"):
+            "e5f79481e7f5171686b852dff806c0416d9df7a0199111511e31b41af6bbf7f0",
+        ("--n", "3", "--k", "4"):
+            "d59f08bd751e8fbb721708de1565d100fcda57a9fdba89fb6b430bd4cff8635b",
+        ("--n", "64", "--k", "2"):
+            "7c9c14f9dd59fdd207babc5eecab5392ea37552bb587b17d74ee8d381465443b",
     }
     for args, digest in pinned.items():
-        code, out, _ = run_cli(capsys, "rect-scan", *args, "--mode", "sample")
+        code, out, _ = run_cli(capsys, "rect-scan", *args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rect_scan_builds_the_problem_once(capsys, monkeypatch):
+    from nonlocal_lab import ghz, rectangles
+
+    calls = []
+    build = ghz.ghz_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (ghz, rectangles):
+        monkeypatch.setattr(module, "ghz_problem", counted)
+    code, out, _ = run_cli(capsys, "rect-scan", "--n", "5", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["advantage_bias_relation"]["checked"] == 227
+    assert len(calls) == 1
 
 
 def assert_one_line_exit_two(code, out, err, name):
@@ -331,12 +349,13 @@ def assert_one_line_exit_two(code, out, err, name):
     assert err.count("\n") == 1 and err.startswith(f"{name}:")
 
 
-def test_rect_scan_rejects_a_sample_count_below_one(capsys):
-    assert_one_line_exit_two(
-        *run_cli(capsys, "rect-scan", "--n", "3", "--k", "2", "--mode", "sample",
-                 "--samples", "-5"),
-        "InvalidInput",
-    )
+def test_rect_scan_mode_and_samples_are_usage_errors(capsys):
+    for option in (["--mode", "lattice"], ["--samples", "500"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["rect-scan", "--n", "3", "--k", "2", *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"nonlocal-lab: error: unrecognized arguments: {' '.join(option)}\n"
 
 
 def test_tradeoff_rejects_negative_bit_counts(capsys):
@@ -360,24 +379,56 @@ def test_search_replay_is_bit_identical(capsys):
     assert out1 == out2
 
 
-def test_search_past_the_budget_fails_fast():
-    # 2**18 click-only strategies would fit; the 3**18 silent-allowed ones
-    # do not, and neither stream is enumerated before the refusal
+def run_fresh(*argv):
+    """One request in a fresh interpreter at the default budget; returns
+    the finished process and its wall time."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     env.pop("NONLOCAL_LAB_BUDGET", None)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "nonlocal_lab.cli", "search", "--n", "9", "--k", "2"],
+        [sys.executable, "-m", "nonlocal_lab.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    elapsed = time.perf_counter() - start
+    return proc, time.perf_counter() - start
+
+
+def test_search_past_the_budget_fails_fast():
+    # 2**18 click-only strategies would fit; the 3**18 silent-allowed ones
+    # do not, and neither stream is enumerated before the refusal
+    proc, elapsed = run_fresh("search", "--n", "9", "--k", "2")
     assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
     assert proc.stderr == (
         "BudgetExceeded: 387420489 strategies exceed the budget of 10000000; "
         "the largest n that fits at k=2 is 7\n"
     )
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # counts past CPython's int-to-text digit limit print as powers
+        (("search", "--n", "2", "--k", "5000"),
+         "3^10000 strategies exceed the budget of 10000000; no n fits at k=5000"),
+        (("quantum", "--n", "20000", "--k", "2"),
+         "2^19999 valid inputs exceed budget 10000000"),
+        # the scan refuses before the broadcast prefixes are computed
+        (("tradeoff", "--n", "20000", "--k", "2"),
+         "canonical scan: up to 200030001 vectors per layer exceed 10000000; "
+         "the largest n that fits at k=2 is 4470"),
+        # and before its 2**40 - 1 parts are built
+        (("rect-scan", "--n", "2", "--k", "40"),
+         "canonical scan: up to 604462909806764831539200 vectors per layer exceed 10000000; "
+         "no n fits at k=40"),
+    ],
+    ids=["search", "quantum", "tradeoff", "rect-scan"],
+)
+def test_huge_requests_are_refused_in_one_line(argv, expected):
+    proc, elapsed = run_fresh(*argv)
+    assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
+    assert proc.stderr == f"BudgetExceeded: {expected}\n"
     assert elapsed < 2.0
 
 

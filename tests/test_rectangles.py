@@ -1,6 +1,7 @@
 """Rectangle kernel: residue convolution vs brute force, bias/advantage
 correspondence, involvement, scans, and the trade-off inequality."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -8,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import lattice_scan
+from nonlocal_lab import rectangles
 from nonlocal_lab.errors import (
     BudgetExceeded,
     DeltaOutOfRange,
@@ -22,6 +25,8 @@ from nonlocal_lab.rectangles import (
     advantage,
     advantage_bias_relation,
     bias,
+    cross_check_problem,
+    eta_n_bound,
     involvement,
     iter_rectangles,
     rectangle_stats,
@@ -96,31 +101,51 @@ def test_bias_examples():
 
 def test_advantage_bias_relation_examples():
     inst = GhzInstance(n=3, k=2)
+    problem = cross_check_problem(inst)
     balanced = Rectangle(
         k=2, sets=(frozenset({0, 1}), frozenset({0, 1}), frozenset({0}))
     )
-    rep = advantage_bias_relation(balanced, inst)
-    assert rep.bias == 0 and rep.max_advantage == F(1, 2) and rep.passed
+    stats = rectangle_stats(balanced, inst)
+    assert stats.bias == 0 and stats.max_advantage == F(1, 2)
+    assert advantage_bias_relation(stats, problem)
 
     cube = Rectangle(k=2, sets=(frozenset({0, 1}),) * 3)
-    rep = advantage_bias_relation(cube, inst)
-    assert rep.bias == 2 and rep.max_advantage == F(3, 4) and rep.passed
+    stats = rectangle_stats(cube, inst)
+    assert stats.bias == 2 and stats.max_advantage == F(3, 4)
+    assert advantage_bias_relation(stats, problem)
 
     point = Rectangle(k=2, sets=(frozenset({0}),) * 3)
-    rep = advantage_bias_relation(point, inst)
-    assert rep.bias == INFINITE and rep.max_advantage == 1 and rep.passed
+    stats = rectangle_stats(point, inst)
+    assert stats.bias == INFINITE and stats.max_advantage == 1
+    assert advantage_bias_relation(stats, problem)
+
+    # a record that breaks the identity fails; one that keeps it but
+    # disagrees with the generic route fails once a problem is given
+    assert not advantage_bias_relation(dataclasses.replace(stats, max_advantage=F(3, 4)), None)
+    wrong = dataclasses.replace(rectangle_stats(cube, inst), sets=balanced.sets)
+    assert advantage_bias_relation(wrong, None)
+    assert not advantage_bias_relation(wrong, problem)
 
 
 def test_advantage_bias_relation_all_rectangles():
     for n, k in [(3, 2), (4, 2), (2, 3)]:
         inst = GhzInstance(n=n, k=k)
+        problem = cross_check_problem(inst)
+        assert problem is not None  # so every rectangle is cross-checked
         for r in iter_rectangles(inst):
             try:
-                rep = advantage_bias_relation(r, inst)
+                stats = rectangle_stats(r, inst)
             except EmptyIntersection:
                 continue
-            assert rep.passed
-            assert rep.cross_checked
+            assert advantage_bias_relation(stats, problem)
+
+
+def test_cross_check_problem_only_within_its_budget():
+    # valid inputs times click outcomes: 2**19 and 2**22 at k=4, 2**19 and 2**21 at k=2
+    assert cross_check_problem(GhzInstance(n=7, k=4)) is not None
+    assert cross_check_problem(GhzInstance(n=8, k=4)) is None
+    assert cross_check_problem(GhzInstance(n=10, k=2)) is not None
+    assert cross_check_problem(GhzInstance(n=11, k=2)) is None
 
 
 def test_involvement_examples():
@@ -141,51 +166,52 @@ def test_minuscule_size_bound_everywhere():
 
 
 def test_tradeoff_check_examples():
-    assert rectangle_tradeoff_check(F(1, 2), F(1, 4), 0, F(1), F(0), 2, 3)
+    assert rectangle_tradeoff_check(F(1, 2), F(1, 4), 0, F(1), F(0), 3)
     # an error budget at or past 1-delta makes the left side nonpositive
-    assert rectangle_tradeoff_check(F(1, 2), F(0), 0, F(1), F(1, 2), 2, 3)
-    assert rectangle_tradeoff_check(F(1, 2), F(0), 0, F(1), F(3, 4), 2, 3)
+    assert rectangle_tradeoff_check(F(1, 2), F(0), 0, F(1), F(1, 2), 3)
+    assert rectangle_tradeoff_check(F(1, 2), F(0), 0, F(1), F(3, 4), 3)
+    with pytest.raises(DeltaOutOfRange, match=r"delta must be in \[0, 1\), got 1$"):
+        rectangle_tradeoff_check(F(1), F(1), 0, F(1), F(0), 3)
     with pytest.raises(DeltaOutOfRange):
-        rectangle_tradeoff_check(F(1), F(1), 0, F(1), F(0), 2, 3)
-    with pytest.raises(DeltaOutOfRange):
-        rectangle_tradeoff_check(F(-1, 2), F(1), 0, F(1), F(0), 2, 3)
+        rectangle_tradeoff_check(F(-1, 2), F(1), 0, F(1), F(0), 3)
+    # the check is eta_n <= the bound: 2**c * 2**n * r_cap / (1 - eps/(1-delta))
+    assert eta_n_bound(F(1, 2), F(1, 64), 1, F(1, 4), 3) == F(1, 2)
+    assert rectangle_tradeoff_check(F(1, 2), F(1, 64), 1, F(1, 2), F(1, 4), 3)
+    assert not rectangle_tradeoff_check(F(1, 2), F(1, 64), 1, F(1, 2) + F(1, 10**9), F(1, 4), 3)
+    assert eta_n_bound(F(1, 2), F(0), 0, F(1, 2), 3) is None
 
 
 def test_tradeoff_check_rejects_negative_bit_counts():
-    with pytest.raises(InvalidInput):
-        rectangle_tradeoff_check(F(1, 2), F(1, 4), -1, F(1), F(0), 2, 3)
+    with pytest.raises(InvalidInput, match=r"bit count c must be >= 0, got -1$"):
+        rectangle_tradeoff_check(F(1, 2), F(1, 4), -1, F(1), F(0), 3)
 
 
 def test_scan_delta_zero_is_full_weight():
-    for mode in ("lattice", "canonical"):
-        (res,) = scan_rectangles(GhzInstance(n=3, k=2), [F(0)], mode=mode)
-        assert res.r_cap == 1 and res.exact
+    for scan in (lattice_scan, scan_rectangles):
+        (res,) = scan(GhzInstance(n=3, k=2), [F(0)])
+        assert res.r_cap == 1
 
 
 def test_scan_delta_one_single_point_weight_small_instance():
     inst = GhzInstance(n=2, k=2)
-    (res,) = scan_rectangles(inst, [F(1)], mode="lattice")
-    assert res.r_cap == F(1, 2)  # equals the single-point weight 1/k^(n-1)
+    for scan in (lattice_scan, scan_rectangles):
+        (res,) = scan(inst, [F(1)])
+        assert res.r_cap == F(1, 2)  # equals the single-point weight 1/k^(n-1)
 
 
 def test_scan_modes_agree():
     for n, k in [(2, 2), (3, 2), (4, 2), (3, 4), (2, 4), (3, 3)]:
         inst = GhzInstance(n=n, k=k)
         deltas = (F(0), F(1, 2), F(3, 4), F(7, 8), F(1))
-        lattice = scan_rectangles(inst, deltas, mode="lattice")
-        canonical = scan_rectangles(inst, deltas, mode="canonical")
-        sampled = scan_rectangles(
-            inst, deltas, mode="sample", samples=500, rng=random.Random(1)
-        )
-        for a, b, s in zip(lattice, canonical, sampled, strict=True):
+        lattice = lattice_scan(inst, deltas)
+        canonical = scan_rectangles(inst, deltas)
+        for a, b in zip(lattice, canonical, strict=True):
             assert a.r_cap == b.r_cap
-            assert not s.exact
-            assert s.r_cap <= a.r_cap
 
 
 def test_scan_witness_qualifies():
     inst = GhzInstance(n=3, k=2)
-    (res,) = scan_rectangles(inst, [F(7, 8)], mode="canonical")
+    (res,) = scan_rectangles(inst, [F(7, 8)])
     assert res.r_cap == F(1, 2)
     r = Rectangle(k=2, sets=res.witness)
     counts = residue_counts(r, 4)
@@ -196,7 +222,7 @@ def test_scan_witness_qualifies():
 
 def test_scan_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        scan_rectangles(GhzInstance(n=6, k=2), [F(1, 2)], budget=10, mode="lattice")
+        scan_rectangles(GhzInstance(n=6, k=2), [F(1, 2)], budget=10)
 
 
 DEFAULT_GRID = (F(1, 2), F(3, 4), F(7, 8))
@@ -224,16 +250,16 @@ def assert_witnesses_qualify(inst, results):
 def test_residue_pass_matches_lattice(n, k):
     inst = GhzInstance(n=n, k=k)
     for grid in SCAN_GRIDS:
-        lattice = scan_rectangles(inst, grid, mode="lattice")
-        canonical = scan_rectangles(inst, grid, mode="canonical")
+        lattice = lattice_scan(inst, grid)
+        canonical = scan_rectangles(inst, grid)
         assert [s.delta for s in canonical] == list(grid)
-        assert [(s.r_cap, s.exact) for s in canonical] == [(s.r_cap, True) for s in lattice]
+        assert [s.r_cap for s in canonical] == [s.r_cap for s in lattice]
         assert_witnesses_qualify(inst, lattice + canonical)
 
 
 def test_witness_is_the_first_heaviest_in_lattice_order():
     inst = GhzInstance(n=3, k=3)
-    for res in scan_rectangles(inst, SCAN_GRIDS[1], mode="lattice"):
+    for res in lattice_scan(inst, SCAN_GRIDS[1]):
         for r in iter_rectangles(inst):
             counts = residue_counts(r, 6)
             n0, n1 = counts[0], counts[3]
@@ -245,15 +271,14 @@ def test_witness_is_the_first_heaviest_in_lattice_order():
             pytest.fail(f"no rectangle reaches r_cap {res.r_cap}")
 
 
-@pytest.mark.parametrize("mode", ["lattice", "canonical", "sample"])
-def test_grid_call_equals_single_delta_calls(mode):
+@pytest.mark.parametrize(
+    "scan", [lattice_scan, scan_rectangles], ids=["lattice", "canonical"]
+)
+def test_grid_call_equals_single_delta_calls(scan):
     inst = GhzInstance(n=4, k=3)
     for grid in SCAN_GRIDS:
-        whole = scan_rectangles(inst, grid, mode=mode, samples=300, rng=random.Random(5))
-        singles = tuple(
-            scan_rectangles(inst, [d], mode=mode, samples=300, rng=random.Random(5))[0]
-            for d in grid
-        )
+        whole = scan(inst, grid)
+        singles = tuple(scan(inst, [d])[0] for d in grid)
         assert whole == singles
 
 
@@ -271,7 +296,6 @@ def test_canonical_caps_pinned(n, k, caps):
     inst = GhzInstance(n=n, k=k)
     results = scan_rectangles(inst, DEFAULT_GRID)
     assert tuple(s.r_cap for s in results) == caps
-    assert all(s.exact for s in results)
     assert_witnesses_qualify(inst, results)
 
 
@@ -282,25 +306,37 @@ def test_canonical_budget_rejects_at_once():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "n,k,message",
+    [
+        (4471, 2, "up to 10001628 vectors per layer exceed 10000000; "
+                  "the largest n that fits at k=2 is 4470"),
+        (13, 4, "up to 20058300 vectors per layer exceed 10000000; "
+                "the largest n that fits at k=4 is 12"),
+        (2, 18, "up to 34359607296 vectors per layer exceed 10000000; "
+                "the largest n that fits at k=18 is 1"),
+        (2, 40, "up to 604462909806764831539200 vectors per layer exceed 10000000; "
+                "no n fits at k=40"),
+        (2, 8000, "up to C(2+2^8000-2, 2^8000-1) vectors per layer exceed 10000000; "
+                  "no n fits at k=8000"),
+    ],
+    ids=["k=2", "k=4", "k=18", "k=40", "k=8000"],
+)
+def test_scan_budget_is_checked_before_any_part_is_built(monkeypatch, n, k, message):
+    def no_parts(k):
+        raise AssertionError("the parts were built before the budget check")
+
+    monkeypatch.setattr(rectangles, "_subsets", no_parts)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        scan_rectangles(GhzInstance(n=n, k=k), DEFAULT_GRID, budget=10**7)
+    assert str(exc.value) == f"canonical scan: {message}"
+    assert time.perf_counter() - start < 1
+
+
 def test_empty_grid_scans_nothing():
     # no result to fold into, so not even an over-budget size is scanned
-    for mode in ("lattice", "canonical", "sample"):
-        assert scan_rectangles(GhzInstance(n=24, k=4), [], mode=mode) == ()
-
-
-def test_sample_draws_follow_the_given_rng():
-    inst = GhzInstance(n=4, k=3)
-    scans = [
-        scan_rectangles(inst, [F(7, 8)], mode="sample", samples=50, rng=random.Random(seed))
-        for seed in range(5)
-    ]
-    assert len({res.witness for (res,) in scans}) > 1
-
-
-@pytest.mark.parametrize("samples", [0, -5])
-def test_sample_count_below_one_is_rejected(samples):
-    with pytest.raises(InvalidInput):
-        scan_rectangles(GhzInstance(n=3, k=2), DEFAULT_GRID, mode="sample", samples=samples)
+    assert scan_rectangles(GhzInstance(n=24, k=4), []) == ()
 
 
 def test_full_involvement_bias_decreases_with_party_count():
@@ -348,5 +384,6 @@ def test_stats_and_csv():
     cube = rectangle_stats(Rectangle(k=2, sets=(frozenset({0, 1}),) * 3), inst)
     assert cube.n0 == 1 and cube.n1 == 3 and cube.bias == 2
     assert cube.advantage_even == F(1, 4) and cube.advantage_odd == F(3, 4)
+    assert cube.max_advantage == F(3, 4) and "01|01|01,8,3,1,3,2,3/4,1\r\n" in text
     assert cube.mu_weight == 1
     assert sum(cube.counts.values()) == cube.size

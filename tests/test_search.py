@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_weights
+from conftest import lattice_scan, random_weights
 from nonlocal_lab.errors import BudgetExceeded, CrossCheckMismatch, Infeasible, InvalidInput
 from nonlocal_lab.ghz import (
     GhzInstance,
@@ -24,6 +24,7 @@ from nonlocal_lab.model import (
 )
 from nonlocal_lab.protocol import MixedProtocol, cost, to_detector_model
 from nonlocal_lab import search
+from nonlocal_lab.rectangles import ScanResult
 from nonlocal_lab.search import (
     best_deterministic_error,
     detector_columns,
@@ -31,7 +32,6 @@ from nonlocal_lab.search import (
     model_respects_rectangle_bound,
     tradeoff_table,
 )
-from nonlocal_lab.rectangles import scan_rectangles
 from test_simplex import _fraction_simplex_reference
 
 F = Fraction
@@ -421,7 +421,6 @@ def test_tradeoff_table_consistency_small():
     inst = GhzInstance(n=3, k=2)
     table = tradeoff_table(inst, c_grid=[0, 1, 2, 3], eps_grid=[F(0), F(1, 4)])
     for row in table.rows:
-        assert row.bound_exact
         if row.achievable_eta_n is not None and row.bound_eta_n is not None:
             assert row.achievable_eta_n <= row.bound_eta_n
     # full-broadcast point achieves 2^-c at eps=0
@@ -435,10 +434,24 @@ def test_tradeoff_table_desk_scale_gap():
     table = tradeoff_table(
         inst, c_grid=[0, 2, 4, 8], eps_grid=[F(0), F(1, 10)]
     )
-    assert all(r.bound_exact for r in table.rows)
     for row in table.rows:
         if row.achievable_eta_n is not None and row.bound_eta_n is not None:
             assert row.achievable_eta_n <= row.bound_eta_n
+
+
+def test_tradeoff_bound_is_the_least_over_the_scans(monkeypatch):
+    # the n=10, k=4 caps at delta 1/2, 15/16 and 1 (a 9 s scan, so given
+    # here): only the 15/16 cap bounds eta**n below 1, and delta 1 bounds
+    # nothing
+    inst = GhzInstance(n=10, k=4)
+    deltas = (F(1, 2), F(15, 16), F(1))
+    caps = (F(1), F(9, 32768), F(5, 65536))
+    scans = tuple(ScanResult(d, cap, 0, None) for d, cap in zip(deltas, caps))
+    monkeypatch.setattr(search, "scan_rectangles", lambda *args, **kwargs: scans)
+    table = tradeoff_table(inst, c_grid=[0, 1, 2], eps_grid=[F(0), F(1, 32)], delta_grid=deltas)
+    assert [r.bound_eta_n for r in table.rows] == [F(9, 32), F(9, 16), F(9, 16), 1, 1, 1]
+    assert model_respects_rectangle_bound(inst, scans, 0, F(9, 32), F(0))
+    assert not model_respects_rectangle_bound(inst, scans, 0, F(9, 32) + F(1, 10**6), F(0))
 
 
 def test_tradeoff_table_rejects_negative_bit_counts():
@@ -449,7 +462,7 @@ def test_tradeoff_table_rejects_negative_bit_counts():
 def test_measured_models_respect_every_scanned_cap():
     inst = GhzInstance(n=3, k=2)
     problem = ghz_problem(inst)
-    scans = scan_rectangles(inst, (F(1, 2), F(3, 4), F(7, 8)), mode="lattice")
+    scans = lattice_scan(inst, (F(1, 2), F(3, 4), F(7, 8)))
     for prefix in range(4):
         tree = broadcast_prefix_strategy(inst, prefix)
         mp = MixedProtocol(components=((tree, F(1)),))
