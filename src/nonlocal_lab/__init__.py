@@ -126,6 +126,7 @@ from .search import (
     TradeoffRow,
     TradeoffTable,
     best_deterministic_error,
+    best_deterministic_error_from_columns,
     detector_columns,
     eta_star_from_columns,
     eta_star_lp,

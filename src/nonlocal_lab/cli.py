@@ -91,6 +91,15 @@ def _load_json(path: str, decode: Callable[[Any], Any]) -> Any:
         ) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write one output file; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     count = inst.valid_input_count()
@@ -99,8 +108,7 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
         raise BudgetExceeded(f"{count_txt} valid inputs exceed budget {args.budget}")
     if args.export_problem:
         problem = ghz.ghz_problem(inst, cap=args.budget)
-        with open(args.export_problem, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(serialize.problem_to_json(problem)))
+        _write_text(args.export_problem, serialize.dumps(serialize.problem_to_json(problem)))
     max_dev = ghz.equivalence_max_deviation(inst)
     table: Optional[list[dict]] = None
     if count * 2**inst.n <= 4096:
@@ -150,9 +158,9 @@ def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
     problem = ghz.ghz_problem(inst, cap=args.budget)
-    search.check_search_budget(problem, budget=args.budget)
-    det = search.best_deterministic_error(problem, budget=args.budget)
-    lp = search.eta_star_lp(problem, args.eps_budget, budget=args.budget)
+    columns = search.detector_columns(problem, budget=args.budget)
+    det = search.best_deterministic_error_from_columns(columns)
+    lp = search.eta_star_from_columns(columns, args.eps_budget)
 
     # re-check both witnesses through the model metrics
     det_mixture = model.MixedLhv(components=((det.witness, Fraction(1)),))
@@ -439,8 +447,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     else:
         text = serialize.dumps(_jsonify(report)) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -541,11 +548,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise InvalidInput(f"the budget must be a positive integer, got {budget!r}")
         args.budget = int(budget)
         report, passed = args.fn(args)
+        _emit(report, args)
     except NonlocalLabError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         # a cross-check failure is a failed verification, not bad input
         return 1 if isinstance(exc, CrossCheckMismatch) else 2
-    _emit(report, args)
     return 0 if passed else 1
 
 

@@ -40,15 +40,16 @@ def count_text(count: int, formula: str) -> str:
 
 def largest_n_text(k: int, fits: Callable[[int], bool]) -> str:
     """A refusal's closing clause: the largest party count ``n`` with
-    ``fits(n)`` at this ``k``. ``fits`` holds from n = 0 up to some n and
-    fails after it, so a doubling then bisecting search finds that n."""
+    ``fits(n)`` at this ``k``, or that none fits when that ``n`` is below 2,
+    the fewest parties an instance has. ``fits`` holds from n = 0 up to some
+    n and fails after it, so a doubling then bisecting search finds that n."""
     lo, hi = 0, 1
     while fits(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return f"the largest n that fits at k={k} is {lo}" if lo else f"no n fits at k={k}"
+    return f"the largest n that fits at k={k} is {lo}" if lo >= 2 else f"no n fits at k={k}"
 
 
 class MalformedTree(NonlocalLabError):

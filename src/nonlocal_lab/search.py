@@ -3,12 +3,14 @@ error over deterministic click-only strategies, maximum input-independent
 all-click probability via an exact LP, and the communication/efficiency
 trade-off table.
 
-Both figures come from one bitmask walk over the per-party tables, which
-needs each input's forbidden outcomes to be none or one output-parity class,
-as in the GHZ problem. The LP has one column per distinct click pattern:
-12 columns instead of 729 strategies at n=3, k=2, 148 at n=5 and 506 at n=6.
-The integer simplex (:mod:`nonlocal_lab.simplex`) solves it, and every
-optimum is checked against the dual certificate the solver returns.
+One bitmask walk over the silent-allowed strategies gives both figures. Per
+click pattern over the support it keeps the strategy of lowest forbidden
+mass: these are the LP's columns, 12 instead of 729 strategies at n=3, k=2,
+148 at n=5 and 506 at n=6, and the column that clicks on the whole support
+is the click-only minimum. The walk needs each input's forbidden outcomes to
+be none or one output-parity class, as in the GHZ problem. The integer
+simplex (:mod:`nonlocal_lab.simplex`) solves the LP, and every optimum is
+checked against the dual certificate the solver returns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .ghz import GhzInstance, broadcast_prefix_stats, ghz_problem
 from .model import (
     CorrelationProblem,
     DeterministicLhv,
-    Entry,
     MixedLhv,
     ZERO,
 )
@@ -54,39 +55,18 @@ LpRow = tuple[list[Fraction], Fraction]
 class SearchReport:
     """Outcome of one optimization run, with a re-checkable witness."""
 
-    kind: str
-    params: dict
     optimum: Fraction
     witness: object
     enumerated: int
 
 
-def _require_budget(n: int, k: int, symbols: int, budget: int) -> int:
-    """The count ``symbols**(n*k)`` of strategies, refused over the budget
-    with the largest party count that fits at this ``k``."""
-    total = symbols ** (n * k)
-    if total <= budget:
-        return total
-    raise BudgetExceeded(
-        f"{count_text(total, f'{symbols}^{n * k}')} strategies exceed the budget of {budget}; "
-        + largest_n_text(k, lambda m: symbols ** (m * k) <= budget)
-    )
-
-
-def check_search_budget(problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET) -> None:
-    """Check, before enumerating anything, that a search fits the budget:
-    the (l+1)**(n*k) silent-allowed strategies of :func:`detector_columns`
-    bound the l**(n*k) click-only ones of :func:`best_deterministic_error`."""
-    _require_budget(problem.n, problem.k, problem.l + 1, budget)
-
-
 def _lowest_mass_per_pattern(
-    problem: CorrelationProblem, entries: Sequence[Entry]
-) -> list[tuple[int, Fraction, DeterministicLhv, int]]:
-    """Per click pattern over the support, the first strategy of lowest
-    forbidden mass among those whose party tables take values in
-    ``entries``: ``(pattern, mass, strategy, rank)`` by rank in
-    ``itertools.product`` order, the last party fastest.
+    problem: CorrelationProblem,
+) -> list[tuple[int, Fraction, DeterministicLhv]]:
+    """Per click pattern over the support, the first silent-allowed strategy
+    of lowest forbidden mass: ``(pattern, mass, strategy)`` by rank in
+    ``itertools.product`` order (the silent symbol sorted last, the last
+    party fastest).
 
     A (party, table) is two masks over the support: where it clicks, and
     where it outputs an odd value. The prefixes grow party by party with
@@ -98,7 +78,7 @@ def _lowest_mass_per_pattern(
     all-click outcomes other than exactly one output-parity class.
     """
     n, support = problem.n, problem.support
-    tables = list(itertools.product(entries, repeat=problem.k))
+    tables = list(itertools.product([*range(problem.l), None], repeat=problem.k))
     outcomes = list(itertools.product(range(problem.l), repeat=n))
     allowed: dict[int, Optional[int]] = {}  # id(row) -> allowed parity, None if unconstrained
     by_setting = [[0] * problem.k for _ in range(n)]  # party -> setting -> inputs
@@ -148,33 +128,9 @@ def _lowest_mass_per_pattern(
             kept[p] = (m, rank)
     places = [s ** (n - 1 - i) for i in range(n)]  # rank digit of party i, base s
     return [
-        (p, Fraction(m, den), DeterministicLhv(tables=tuple(tables[r // d % s] for d in places)), r)
+        (p, Fraction(m, den), DeterministicLhv(tables=tuple(tables[r // d % s] for d in places)))
         for p, (m, r) in sorted(kept.items(), key=lambda item: item[1][1])
     ]
-
-
-def best_deterministic_error(
-    problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET
-) -> SearchReport:
-    """Exhaustive minimum of the forbidden-outcome error over click-only
-    deterministic strategies.
-
-    Mixtures cannot do better: the error is linear in the mixing weights, so
-    the minimum over the simplex is attained at a vertex. Ties are broken by
-    the first strategy in lexicographic order. ``enumerated`` counts the
-    strategies up to and including that witness when the minimum is 0, and
-    all l**(n*k) of them otherwise.
-    """
-    total = _require_budget(problem.n, problem.k, problem.l, budget)
-    # click-only strategies click everywhere: one pattern
-    ((_, optimum, witness, rank),) = _lowest_mass_per_pattern(problem, range(problem.l))
-    return SearchReport(
-        kind="best_deterministic_error",
-        params={"n": problem.n, "k": problem.k, "l": problem.l},
-        optimum=optimum,
-        witness=witness,
-        enumerated=rank + 1 if optimum == 0 else total,
-    )
 
 
 @dataclass(frozen=True)
@@ -205,16 +161,60 @@ def detector_columns(
     the silent symbol sorted last, keep per click pattern the one with the
     lowest forbidden mass (the first such strategy on ties), in enumeration
     order. ``DeterministicLhv`` objects are built only for the kept columns.
+    The (l+1)**(n*k) strategies are refused over ``budget`` before anything
+    is built, with the largest party count that fits at this ``k``.
     """
-    total = _require_budget(problem.n, problem.k, problem.l + 1, budget)
-    columns = _lowest_mass_per_pattern(problem, list(range(problem.l)) + [None])
-    return DetectorColumns(
-        problem=problem,
-        strategies=tuple(strategy for _, _, strategy, _ in columns),
-        patterns=tuple(pattern for pattern, _, _, _ in columns),
-        err_coef=tuple(mass for _, mass, _, _ in columns),
-        enumerated=total,
-    )
+    n, k, symbols = problem.n, problem.k, problem.l + 1
+    total = symbols ** (n * k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{count_text(total, f'{symbols}^{n * k}')} strategies exceed the budget of {budget}; "
+            + largest_n_text(k, lambda m: symbols ** (m * k) <= budget)
+        )
+    patterns, masses, strategies = zip(*_lowest_mass_per_pattern(problem))
+    return DetectorColumns(problem, strategies, patterns, masses, enumerated=total)
+
+
+def best_deterministic_error_from_columns(columns: DetectorColumns) -> SearchReport:
+    """The click-only minimum of :func:`best_deterministic_error` read off
+    prebuilt columns: the mass and strategy of the column whose pattern is
+    the whole support.
+
+    Every click-only strategy has that pattern, and a silent entry on a
+    setting no supported input uses can be any output instead without
+    changing pattern or mass. So the column's mass is the click-only minimum,
+    and its strategy, the first of that mass with silent sorted last, is
+    click-only and the first minimum in lexicographic order.
+    """
+    problem = columns.problem
+    j = columns.patterns.index((1 << len(problem.support)) - 1)
+    optimum, witness = columns.err_coef[j], columns.strategies[j]
+    if optimum:
+        enumerated = problem.l ** (problem.n * problem.k)
+    else:  # up to the witness: its click-only rank, entries as base-l digits, party 0 first
+        rank = 0
+        for entry in itertools.chain.from_iterable(witness.tables):
+            rank = rank * problem.l + entry
+        enumerated = rank + 1
+    return SearchReport(optimum=optimum, witness=witness, enumerated=enumerated)
+
+
+def best_deterministic_error(
+    problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET
+) -> SearchReport:
+    """Exhaustive minimum of the forbidden-outcome error over click-only
+    deterministic strategies.
+
+    Mixtures cannot do better: the error is linear in the mixing weights, so
+    the minimum over the simplex is attained at a vertex. Ties are broken by
+    the first strategy in lexicographic order. ``enumerated`` counts the
+    strategies up to and including that witness when the minimum is 0, and
+    all l**(n*k) of them otherwise. The figure is read off the eta* LP's
+    columns (:func:`best_deterministic_error_from_columns`), so ``budget``
+    caps the (l+1)**(n*k) silent-allowed strategies they walk: n=7, k=2 is
+    refused at the default budget.
+    """
+    return best_deterministic_error_from_columns(detector_columns(problem, budget))
 
 
 def eta_star_program(
@@ -292,7 +292,6 @@ def eta_star_from_columns(
     checked against the solver's dual (:func:`check_dual_certificate`)."""
     if eps_budget < 0:
         raise Infeasible("a negative error budget admits no model")
-    problem = columns.problem
     m = len(columns.strategies)
     objective, eq_rows, ub_rows = eta_star_program(columns, eps_budget, relaxed)
     result = solve_lp_max(objective, eq_rows, ub_rows)
@@ -301,19 +300,7 @@ def eta_star_from_columns(
         (lhv, w) for lhv, w in zip(columns.strategies, result.solution[:m]) if w > 0
     )
     witness = MixedLhv(components=components) if components else None
-    return SearchReport(
-        kind="eta_star_lp",
-        params={
-            "n": problem.n,
-            "k": problem.k,
-            "l": problem.l,
-            "eps_budget": eps_budget,
-            "relaxed": relaxed,
-        },
-        optimum=result.solution[m],
-        witness=witness,
-        enumerated=columns.enumerated,
-    )
+    return SearchReport(optimum=result.solution[m], witness=witness, enumerated=columns.enumerated)
 
 
 def eta_star_lp(
@@ -332,8 +319,6 @@ def eta_star_lp(
     click mass to q, the relaxed variant only requires >= q. ``budget`` caps
     the (l+1)**(n*k) enumerated strategies.
     """
-    if eps_budget < 0:
-        raise Infeasible("a negative error budget admits no model")
     return eta_star_from_columns(detector_columns(problem, budget), eps_budget, relaxed)
 
 
@@ -379,10 +364,13 @@ def tradeoff_table(
     vertex count fits the LP budget, from the exact no-communication LP.
     Bounds come from rectangle scans at the given advantage thresholds; each
     achievable entry must stay below the bound entry (checked by callers and
-    the test suite; a violation would signal an implementation bug).
+    the test suite; a violation would signal an implementation bug). A
+    negative bit count or error budget is refused before the scan.
     """
     if any(c < 0 for c in c_grid):
         raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
+    if any(eps < 0 for eps in eps_grid):
+        raise Infeasible("a negative error budget admits no model")
     scans = scan_rectangles(inst, delta_grid, budget=scan_budget)  # may refuse: do it first
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
     lp_ok = 3 ** (inst.n * inst.k) <= _LP_BUDGET  # binary outputs plus silence

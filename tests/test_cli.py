@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report schemas, formats, and replay."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -74,6 +75,17 @@ def test_search_report(capsys):
     assert report["best_deterministic_error"]["optimum"] == {"num": "1", "den": "4"}
     assert report["eta_star_lp"]["optimum"] == {"num": "1", "den": "2"}
     assert report["witnesses_recheck"] is True
+
+
+def test_search_walks_the_strategies_once(capsys, monkeypatch):
+    from nonlocal_lab import search
+
+    walk = search._lowest_mass_per_pattern
+    calls = []
+    monkeypatch.setattr(search, "_lowest_mass_per_pattern", lambda p: calls.append(1) or walk(p))
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--k", "2", "--eps-budget", "1/10")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert len(calls) == 1  # both figures come from the one column walk
 
 
 def test_rect_scan_report(capsys):
@@ -396,7 +408,7 @@ def run_fresh(*argv):
 
 def test_search_past_the_budget_fails_fast():
     # 2**18 click-only strategies would fit; the 3**18 silent-allowed ones
-    # do not, and neither stream is enumerated before the refusal
+    # do not, and the strategy walk does not start before the refusal
     proc, elapsed = run_fresh("search", "--n", "9", "--k", "2")
     assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
     assert proc.stderr == (
@@ -564,6 +576,30 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys, case):
         *run_cli(capsys, "lhv-eval", "--n", "2", "--k", "2", "--model", str(path))
     )
     assert_bad_input(*run_cli(capsys, "protocol-run", "--tree", str(path), "--evaluate"))
+
+
+def test_a_negative_error_budget_is_refused_at_every_size(capsys):
+    # n=3 reaches the LP, n=8 does not; both refuse before the scan
+    for n in ("3", "8"):
+        assert_one_line_exit_two(
+            *run_cli(capsys, "tradeoff", "--n", n, "--k", "2", "--eps-grid=0,-1/2"), "Infeasible"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantum", "--n", "3", "--k", "2", "--out"),
+        ("search", "--n", "2", "--k", "2", "--format", "csv", "--out"),
+        ("quantum", "--n", "3", "--k", "2", "--export-problem"),
+    ],
+    ids=["quantum-out", "search-out", "export-problem"],
+)
+def test_unwritable_output_paths_are_bad_input(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_bad_input(code, out, err)
+    assert err == f"InvalidInput: cannot write {path}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_zero_denominator_argument_is_a_usage_error(capsys):

@@ -314,7 +314,7 @@ def test_canonical_budget_rejects_at_once():
         (13, 4, "up to 20058300 vectors per layer exceed 10000000; "
                 "the largest n that fits at k=4 is 12"),
         (2, 18, "up to 34359607296 vectors per layer exceed 10000000; "
-                "the largest n that fits at k=18 is 1"),
+                "no n fits at k=18"),  # n = 1 fits, but no instance has one party
         (2, 40, "up to 604462909806764831539200 vectors per layer exceed 10000000; "
                 "no n fits at k=40"),
         (2, 8000, "up to C(2+2^8000-2, 2^8000-1) vectors per layer exceed 10000000; "

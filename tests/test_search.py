@@ -137,6 +137,33 @@ def test_kernel_handles_non_uniform_weights_and_unconstrained_inputs():
         )
 
 
+def test_click_only_figure_with_a_party_setting_outside_the_support():
+    # with a (party, setting) that no supported input uses, the full-support
+    # column's first minimum could carry a silent entry there; it must
+    # still be the generic loop's click-only witness and count
+    rng = random.Random(13)
+    zero = 0
+    for trial in range(16):
+        n, k = rng.choice(((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)))
+        base = ghz_problem(GhzInstance(n=n, k=k))
+        party, setting = rng.randrange(n), rng.randrange(k)
+        support = [x for x in base.support if x[party] != setting]
+        raw = [rng.randint(1, 4) for _ in support]
+        problem = CorrelationProblem(
+            n=n, k=k, l=2,
+            mu={x: F(r, sum(raw)) for x, r in zip(support, raw)},
+            target={x: base.target[x] for x in support},
+        )
+        columns = detector_columns(problem)
+        assert columns == generic_detector_columns(problem)
+        report = best_deterministic_error(problem)
+        assert (report.optimum, report.witness, report.enumerated) == (
+            generic_best_deterministic_error(problem)
+        ), (n, k, party, setting)
+        zero += report.optimum == 0
+    assert 0 < zero < 16  # both the early-stop count and the full count
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -217,18 +244,32 @@ def test_budget_guard():
 
 def test_budget_errors_name_the_largest_party_count_that_fits():
     problem = ghz_problem(GhzInstance(n=9, k=2))
-    with pytest.raises(BudgetExceeded, match=r"^387420489 strategies exceed the budget "
-                       r"of 10000000; the largest n that fits at k=2 is 7$"):
-        search.check_search_budget(problem, budget=10**7)
-    # exactly 3**12 silent-allowed strategies fit; one less refuses, though
-    # the 2**12 click-only ones would still fit
-    search.check_search_budget(ghz_problem(GhzInstance(n=6, k=2)), budget=3**12)
-    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 5"):
-        search.check_search_budget(ghz_problem(GhzInstance(n=6, k=2)), budget=3**12 - 1)
-    with pytest.raises(BudgetExceeded, match="largest n that fits at k=3 is 1$"):
+    for figure in (detector_columns, best_deterministic_error):
+        with pytest.raises(BudgetExceeded, match=r"^387420489 strategies exceed the budget "
+                           r"of 10000000; the largest n that fits at k=2 is 7$"):
+            figure(problem, budget=10**7)
+    # both figures walk the silent-allowed strategies, so exactly 3**12 fit
+    # at n=6, k=2 and one less refuses, though the 2**12 click-only ones
+    # would still fit
+    problem = ghz_problem(GhzInstance(n=6, k=2))
+    assert best_deterministic_error(problem, budget=3**12).optimum == F(3, 8)
+    for figure in (detector_columns, best_deterministic_error):
+        with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 5$"):
+            figure(problem, budget=3**12 - 1)
+    with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
         best_deterministic_error(ghz_problem(GhzInstance(n=3, k=3)), budget=10)
     with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
         detector_columns(ghz_problem(GhzInstance(n=2, k=3)), budget=26)
+    # the 3**3 strategies of n = 1 fit, but no instance has one party
+    with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
+        detector_columns(ghz_problem(GhzInstance(n=2, k=3)), budget=3**6 - 1)
+
+
+def test_library_figures_share_the_silent_allowed_budget():
+    # 2**14 click-only strategies fit the default budget, 3**14 do not
+    problem = ghz_problem(GhzInstance(n=7, k=2))
+    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 6$"):
+        best_deterministic_error(problem)
 
 
 def test_random_mixtures_never_beat_the_vertex_minimum():
