@@ -36,7 +36,6 @@ from .errors import (
     NonlocalLabError,
     NotPowerOfTwo,
     PreconditionViolated,
-    ResourceLimit,
     TooFewSets,
 )
 from .model import (

@@ -25,18 +25,17 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import cyclic, ghz, model, protocol, rectangles, search, serialize
 from .errors import (
-    BudgetExceeded,
+    DEFAULT_BUDGET,
     CrossCheckMismatch,
     EmptyIntersection,
     InvalidInput,
     NonlocalLabError,
     NotPowerOfTwo,
     TooFewSets,
-    count_text,
+    check_budget,
 )
 
 ENV_BUDGET = "NONLOCAL_LAB_BUDGET"
-DEFAULT_BUDGET = 10**7
 
 
 def _jsonify(obj: Any) -> Any:
@@ -102,12 +101,9 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    count = inst.valid_input_count()
-    if count > args.budget:
-        count_txt = count_text(count, f"{inst.k}^{inst.n - 1}")
-        raise BudgetExceeded(f"{count_txt} valid inputs exceed budget {args.budget}")
+    count = ghz.check_input_budget(inst, args.budget)
     if args.export_problem:
-        problem = ghz.ghz_problem(inst, cap=args.budget)
+        problem = ghz.ghz_problem(inst, budget=args.budget)
         _write_text(args.export_problem, serialize.dumps(serialize.problem_to_json(problem)))
     max_dev = ghz.equivalence_max_deviation(inst)
     table: Optional[list[dict]] = None
@@ -136,7 +132,7 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
     mixed = _load_json(args.model, serialize.mixed_lhv_from_json)
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    problem = ghz.ghz_problem(inst, cap=args.budget)
+    problem = ghz.ghz_problem(inst, budget=args.budget)
     metrics = model.mixed_lhv_metrics(mixed, problem)
     report = {
         "command": "lhv-eval",
@@ -157,7 +153,7 @@ def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    problem = ghz.ghz_problem(inst, cap=args.budget)
+    problem = ghz.ghz_problem(inst, budget=args.budget)
     columns = search.detector_columns(problem, budget=args.budget)
     det = search.best_deterministic_error_from_columns(columns)
     lp = search.eta_star_from_columns(columns, args.eps_budget)
@@ -240,10 +236,16 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_addition(args: argparse.Namespace) -> tuple[dict, bool]:
-    if args.t > 0 and args.r * args.t > args.budget:  # each draw holds up to T elements
-        raise BudgetExceeded(
-            f"r*T = {args.r * args.t} exceeds budget {args.budget}; "
-            f"the largest r that fits is {args.budget // args.t}"
+    if args.t > 0:  # each draw holds up to T elements, and r below T^3 is refused
+        check_budget(
+            lambda r: r * args.t,
+            args.r,
+            args.budget,
+            "drawn elements (r*T)",
+            f"{args.r}*{args.t}",
+            f"T={args.t}",
+            name="r",
+            least=args.t**3,
         )
     if args.t < 2 or args.t & (args.t - 1):
         raise NotPowerOfTwo(f"T must be a power of two >= 2, got {args.t}")
@@ -286,7 +288,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[dict, bool]:
         c_grid=args.c_grid,
         eps_grid=args.eps_grid,
         delta_grid=tuple(args.delta_grid),
-        scan_budget=args.budget,
+        budget=args.budget,
     )
     passed = True
     rows = []
@@ -369,7 +371,7 @@ def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
         report["execution"] = {"x": list(x), "runs": runs}
     if args.evaluate:
         inst = ghz.GhzInstance(n=mixed.n, k=mixed.k)
-        problem = ghz.ghz_problem(inst, cap=args.budget)
+        problem = ghz.ghz_problem(inst, budget=args.budget)
         induced = protocol.induced_distribution(mixed, problem)
         eff = model.detection_efficiency(induced, problem)
         eps = model.error_probability(induced, problem)

@@ -21,35 +21,49 @@ class DivisionByZeroEfficiency(NonlocalLabError, ZeroDivisionError):
     """Click-conditioned quantities are undefined when nothing ever clicks."""
 
 
-class ResourceLimit(NonlocalLabError):
-    """An enumeration would exceed the configured cap."""
-
-
 class BudgetExceeded(NonlocalLabError):
-    """A search or scan would exceed its configured budget."""
+    """A request would enumerate more than its budget allows."""
 
 
-def count_text(count: int, formula: str) -> str:
-    """``count`` in decimal for a refusal message, or ``formula`` (such as
-    ``3^10000``) when it has more digits than CPython converts to text."""
+#: the command line's budget, and the library's default cap on valid inputs
+DEFAULT_BUDGET = 10**7
+
+
+def check_budget(
+    count_at: Callable[[int], int],
+    size: int,
+    budget: int,
+    noun: str,
+    formula: str,
+    at: str,
+    name: str = "n",
+    least: int = 2,
+) -> int:
+    """The one budget rule: return ``count_at(size)``, the number of
+    ``noun`` a request of this ``size`` enumerates, or raise
+    ``BudgetExceeded`` when it exceeds ``budget``. The refusal prints the
+    count, or ``formula`` (such as ``3^10000``) when it has more digits than
+    CPython converts to text, and the largest ``name`` that fits at ``at``
+    (such as ``k=2``), or that none fits when that size is below ``least``,
+    the smallest a request may have. Counts rise with the size, so only a
+    refusal runs the doubling then bisecting search for that size.
+    """
+    count = count_at(size)
+    if count <= budget:
+        return count
     try:
-        return str(count)
+        count_txt = str(count)
     except ValueError:
-        return formula
-
-
-def largest_n_text(k: int, fits: Callable[[int], bool]) -> str:
-    """A refusal's closing clause: the largest party count ``n`` with
-    ``fits(n)`` at this ``k``, or that none fits when that ``n`` is below 2,
-    the fewest parties an instance has. ``fits`` holds from n = 0 up to some
-    n and fails after it, so a doubling then bisecting search finds that n."""
+        count_txt = formula
     lo, hi = 0, 1
-    while fits(hi):
+    while count_at(hi) <= budget:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return f"the largest n that fits at k={k} is {lo}" if lo >= 2 else f"no n fits at k={k}"
+        lo, hi = (mid, hi) if count_at(mid) <= budget else (lo, mid)
+    fits = f"fits at {at}"
+    closing = f"the largest {name} that {fits} is {lo}" if lo >= least else f"no {name} {fits}"
+    raise BudgetExceeded(f"{count_txt} {noun} exceed the budget of {budget}; {closing}")
 
 
 class MalformedTree(NonlocalLabError):

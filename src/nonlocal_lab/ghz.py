@@ -20,12 +20,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cyclic import indicator, power
-from .errors import CrossCheckMismatch, InvalidInput, LengthMismatch, ResourceLimit, count_text
+from .errors import DEFAULT_BUDGET, CrossCheckMismatch, InvalidInput, LengthMismatch, check_budget
 from .model import CorrelationProblem, DeterministicLhv, InputVector, OutcomeVector, ZERO
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree, SHARED
-
-#: maximum number of valid inputs materialized or scanned by default
-DEFAULT_INPUT_CAP = 10**7
 
 #: outcomes per party: each qubit measurement reports one bit
 OUTPUTS = 2
@@ -158,17 +155,21 @@ def valid_inputs(inst: GhzInstance) -> Iterator[InputVector]:
         yield head + ((-sum(head)) % k,)
 
 
-def ghz_problem(inst: GhzInstance, cap: int = DEFAULT_INPUT_CAP) -> CorrelationProblem:
+def check_input_budget(inst: GhzInstance, budget: int) -> int:
+    """The k**(n-1) valid inputs of ``inst``, refused over ``budget``."""
+    k = inst.k
+    return check_budget(
+        lambda m: k ** (m - 1), inst.n, budget, "valid inputs", f"{k}^{inst.n - 1}", f"k={k}"
+    )
+
+
+def ghz_problem(inst: GhzInstance, budget: int = DEFAULT_BUDGET) -> CorrelationProblem:
     """Uniform distribution on valid inputs with the ideal parity target.
 
     Outcomes with missing clicks carry target probability 0 (sparse storage).
-    Raises ``ResourceLimit`` when the valid-input count exceeds ``cap``.
+    Refuses more valid inputs than ``budget`` before building any.
     """
-    count = inst.valid_input_count()
-    if count > cap:
-        raise ResourceLimit(
-            f"{count_text(count, f'{inst.k}^{inst.n - 1}')} valid inputs exceed the cap of {cap}"
-        )
+    count = check_input_budget(inst, budget)
     n = inst.n
     weight = Fraction(1, count)
     p_allowed = Fraction(1, 2 ** (n - 1))
@@ -187,16 +188,16 @@ def ghz_problem(inst: GhzInstance, cap: int = DEFAULT_INPUT_CAP) -> CorrelationP
 def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) -> float:
     """Largest |quantum - target| over all valid inputs and click outcomes.
 
-    Uses one per-party overlap product per input (the outcome only flips the
-    sign of the |1...1> branch) and re-derives every ``cross_check_stride``-th
-    point through :func:`quantum_probability` to tie the two paths together.
+    An outcome enters the amplitude only through its parity, the sign of the
+    |1...1> branch, so one overlap product per input gives one probability
+    per parity class. The first (input, parity) pair and every
+    ``cross_check_stride``-th after it are re-derived through
+    :func:`quantum_probability` on an outcome of that parity.
     """
     n, k = inst.n, inst.k
     phases = _phase_table(k)
     scale = _INV_SQRT2 ** n
-    parities = tuple(bin(m).count("1") & 1 for m in range(2**n))
     p_allowed = 1.0 / 2 ** (n - 1)
-    outcomes = tuple(itertools.product(range(2), repeat=n))
     worst = 0.0
     seen = 0
     for x in valid_inputs(inst):
@@ -205,21 +206,21 @@ def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) 
             overlap_one *= phases[xi]
         overlap_one *= scale
         bit = (sum(x) % (2 * k)) // k
-        for m in range(2**n):
-            sign = -1.0 if parities[m] else 1.0
+        for parity, sign in ((0, 1.0), (1, -1.0)):
             amp = (scale + sign * overlap_one) * _INV_SQRT2
             p = amp.real * amp.real + amp.imag * amp.imag
-            t = p_allowed if parities[m] == bit else 0.0
+            t = p_allowed if parity == bit else 0.0
             dev = abs(p - t)
             if dev > worst:
                 worst = dev
-            seen += 1
-            if seen % cross_check_stride == 0:
-                direct = quantum_probability(inst, x, outcomes[m])
+            if seen % cross_check_stride == 0:  # the first pair, then every stride-th
+                head = tuple(v & 1 for v in x[:-1])  # so the outcome varies with x
+                direct = quantum_probability(inst, x, head + ((sum(head) + parity) % 2,))
                 if abs(direct - p) > AMPLITUDE_TOLERANCE:
                     raise CrossCheckMismatch(
                         f"per-input product {p} differs from the direct {direct} at {x}"
                     )
+            seen += 1
     return worst
 
 

@@ -23,14 +23,12 @@ from typing import Iterator, Optional, Sequence
 
 from .cyclic import conv, indicator, product
 from .errors import (
-    BudgetExceeded,
     CrossCheckMismatch,
     DeltaOutOfRange,
     EmptyIntersection,
     EmptyWeight,
     InvalidInput,
-    count_text,
-    largest_n_text,
+    check_budget,
 )
 from .ghz import OUTPUTS, GhzInstance, ghz_problem
 from .model import CorrelationProblem, OutcomeVector, all_click
@@ -324,13 +322,14 @@ def scan_rectangles(
         return ()  # nothing to fold, so nothing to scan
     n, k = inst.n, inst.k
     nparts = 2**k - 1
-    bound = math.comb(n + nparts - 1, nparts - 1)
-    if bound > budget:
-        raise BudgetExceeded(
-            f"canonical scan: up to {count_text(bound, f'C({n}+2^{k}-2, 2^{k}-1)')} vectors "
-            f"per layer exceed {budget}; "
-            + largest_n_text(k, lambda m: math.comb(m + nparts - 1, nparts - 1) <= budget)
-        )
+    check_budget(
+        lambda m: math.comb(m + nparts - 1, nparts - 1),
+        n,
+        budget,
+        "rectangle classes",
+        f"C({n}+2^{k}-2, 2^{k}-1)",
+        f"k={k}",
+    )
     parts = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
     # one indicator vector per distinct part, shared by every rectangle
     vector = functools.cache(lambda part: indicator(2 * k, part))

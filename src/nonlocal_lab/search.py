@@ -21,14 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    CrossCheckMismatch,
-    Infeasible,
-    InvalidInput,
-    count_text,
-    largest_n_text,
-)
+from .errors import CrossCheckMismatch, Infeasible, InvalidInput, check_budget
 from .ghz import GhzInstance, broadcast_prefix_stats, ghz_problem
 from .model import (
     CorrelationProblem,
@@ -36,7 +29,13 @@ from .model import (
     MixedLhv,
     ZERO,
 )
-from .rectangles import ScanResult, eta_n_bound, rectangle_tradeoff_check, scan_rectangles
+from .rectangles import (
+    DEFAULT_SCAN_BUDGET,
+    ScanResult,
+    eta_n_bound,
+    rectangle_tradeoff_check,
+    scan_rectangles,
+)
 from .simplex import LpResult, solve_lp_max
 
 #: default cap on enumerated strategy vertices
@@ -144,7 +143,7 @@ class DetectorColumns:
     the same pattern, the one with the lowest forbidden mass dominates: a
     mixture can move its weight onto it, keeping every click row and not
     raising the error row. So the LP over these columns has the same optimum
-    as the LP over every strategy, strict or relaxed.
+    as the LP over every strategy.
     """
 
     problem: CorrelationProblem
@@ -165,12 +164,9 @@ def detector_columns(
     is built, with the largest party count that fits at this ``k``.
     """
     n, k, symbols = problem.n, problem.k, problem.l + 1
-    total = symbols ** (n * k)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{count_text(total, f'{symbols}^{n * k}')} strategies exceed the budget of {budget}; "
-            + largest_n_text(k, lambda m: symbols ** (m * k) <= budget)
-        )
+    total = check_budget(
+        lambda m: symbols ** (m * k), n, budget, "strategies", f"{symbols}^{n * k}", f"k={k}"
+    )
     patterns, masses, strategies = zip(*_lowest_mass_per_pattern(problem))
     return DetectorColumns(problem, strategies, patterns, masses, enumerated=total)
 
@@ -218,28 +214,23 @@ def best_deterministic_error(
 
 
 def eta_star_program(
-    columns: DetectorColumns, eps_budget: Fraction, relaxed: bool = False
+    columns: DetectorColumns, eps_budget: Fraction
 ) -> tuple[list[Fraction], list[LpRow], list[LpRow]]:
     """The eta* LP over prebuilt columns as ``(objective, eq_rows,
     ub_rows)`` for :func:`solve_lp_max`.
 
     Variables: one mixture weight per column, then q. Equality rows: the
-    weights sum to 1 and, unless relaxed, each supported input's click mass
-    equals q. <=-rows: in the relaxed variant q minus each input's click
-    mass is at most 0; always, the forbidden mass is at most eps * q.
+    weights sum to 1, and each supported input's click mass equals q. The
+    one <=-row: the forbidden mass is at most eps * q.
     """
     problem = columns.problem
     m = len(columns.strategies)
     objective = [ZERO] * m + [ONE]
     eq_rows: list[LpRow] = [([ONE] * m + [ZERO], ONE)]
-    ub_rows: list[LpRow] = []
     for xi in range(len(problem.support)):
         row = [ONE if p >> xi & 1 else ZERO for p in columns.patterns] + [-ONE]
-        if relaxed:
-            ub_rows.append(([-c for c in row], ZERO))  # click mass >= q
-        else:
-            eq_rows.append((row, ZERO))
-    ub_rows.append((list(columns.err_coef) + [-Fraction(eps_budget)], ZERO))
+        eq_rows.append((row, ZERO))
+    ub_rows: list[LpRow] = [(list(columns.err_coef) + [-Fraction(eps_budget)], ZERO)]
     return objective, eq_rows, ub_rows
 
 
@@ -284,16 +275,14 @@ def check_dual_certificate(
             raise CrossCheckMismatch(f"dual is infeasible on LP column {j}")
 
 
-def eta_star_from_columns(
-    columns: DetectorColumns, eps_budget: Fraction, relaxed: bool = False
-) -> SearchReport:
+def eta_star_from_columns(columns: DetectorColumns, eps_budget: Fraction) -> SearchReport:
     """Solve the eta* LP of :func:`eta_star_lp` on prebuilt columns, so a
     sweep over error budgets enumerates the strategies once. The optimum is
     checked against the solver's dual (:func:`check_dual_certificate`)."""
     if eps_budget < 0:
         raise Infeasible("a negative error budget admits no model")
     m = len(columns.strategies)
-    objective, eq_rows, ub_rows = eta_star_program(columns, eps_budget, relaxed)
+    objective, eq_rows, ub_rows = eta_star_program(columns, eps_budget)
     result = solve_lp_max(objective, eq_rows, ub_rows)
     check_dual_certificate(objective, eq_rows, ub_rows, result)
     components = tuple(
@@ -304,10 +293,7 @@ def eta_star_from_columns(
 
 
 def eta_star_lp(
-    problem: CorrelationProblem,
-    eps_budget: Fraction,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    relaxed: bool = False,
+    problem: CorrelationProblem, eps_budget: Fraction, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> SearchReport:
     """Maximum all-click probability of a mixture of silent-allowed
     deterministic strategies whose all-click probability is the same for
@@ -315,11 +301,11 @@ def eta_star_lp(
 
     Exact rational LP: variables are the mixture weights, one per distinct
     click pattern (:func:`detector_columns`), and the common all-click
-    probability q; the default (input-independent) variant pins each input's
-    click mass to q, the relaxed variant only requires >= q. ``budget`` caps
-    the (l+1)**(n*k) enumerated strategies.
+    probability q, to which each input's click mass is pinned
+    (input-independent efficiency). ``budget`` caps the (l+1)**(n*k)
+    enumerated strategies.
     """
-    return eta_star_from_columns(detector_columns(problem, budget), eps_budget, relaxed)
+    return eta_star_from_columns(detector_columns(problem, budget), eps_budget)
 
 
 @dataclass(frozen=True)
@@ -355,44 +341,42 @@ def tradeoff_table(
     c_grid: Sequence[int],
     eps_grid: Sequence[Fraction],
     delta_grid: Sequence[Fraction] = (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
-    scan_budget: int = 1 << 24,
+    budget: int = DEFAULT_SCAN_BUDGET,
 ) -> TradeoffTable:
     """Achievable versus bound all-click probability over a (c, eps) grid.
 
     Achievable points come from the broadcast-prefix family (converted to
     detector models, so eta**n = 2**-cost at the prefix error) and, when the
     vertex count fits the LP budget, from the exact no-communication LP.
-    Bounds come from rectangle scans at the given advantage thresholds; each
-    achievable entry must stay below the bound entry (checked by callers and
-    the test suite; a violation would signal an implementation bug). A
-    negative bit count or error budget is refused before the scan.
+    Prefix costs rise strictly with the prefix, so at each eps the best
+    prefix is the first one within eps, when its cost is at most c. Bounds
+    come from rectangle scans, capped by ``budget``, at the given advantage
+    thresholds; each achievable entry must stay below the bound entry
+    (checked by callers and the test suite; a violation would signal an
+    implementation bug). A negative bit count or error budget is refused
+    before the scan.
     """
     if any(c < 0 for c in c_grid):
         raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
     if any(eps < 0 for eps in eps_grid):
         raise Infeasible("a negative error budget admits no model")
-    scans = scan_rectangles(inst, delta_grid, budget=scan_budget)  # may refuse: do it first
+    scans = scan_rectangles(inst, delta_grid, budget=budget)  # may refuse: do it first
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
-    lp_ok = 3 ** (inst.n * inst.k) <= _LP_BUDGET  # binary outputs plus silence
-    columns = detector_columns(ghz_problem(inst)) if lp_ok else None
-    lp_cache: dict[Fraction, Fraction] = {}
+    cheapest = {eps: next((p for p in prefix_points if p.eps <= eps), None) for eps in eps_grid}
+    lp_optimum: dict[Fraction, Fraction] = {}
+    if 3 ** (inst.n * inst.k) <= _LP_BUDGET:  # binary outputs plus silence
+        columns = detector_columns(ghz_problem(inst))
+        lp_optimum = {eps: eta_star_from_columns(columns, eps).optimum for eps in set(eps_grid)}
 
     rows: list[TradeoffRow] = []
     for c in c_grid:
         for eps in eps_grid:
-            best: Optional[Fraction] = None
-            source = "none"
-            for p in prefix_points:
-                if p.cost <= c and p.eps <= eps:
-                    if best is None or p.eta_n_converted > best:
-                        best = p.eta_n_converted
-                        source = f"broadcast_prefix[{p.prefix}]"
-            if columns is not None:
-                if eps not in lp_cache:
-                    lp_cache[eps] = eta_star_from_columns(columns, eps).optimum
-                if best is None or lp_cache[eps] > best:
-                    best = lp_cache[eps]
-                    source = "eta_star_lp"
+            best, source = None, "none"
+            p = cheapest[eps]
+            if p is not None and p.cost <= c:
+                best, source = p.eta_n_converted, f"broadcast_prefix[{p.prefix}]"
+            if eps in lp_optimum and (best is None or lp_optimum[eps] > best):
+                best, source = lp_optimum[eps], "eta_star_lp"
             rows.append(
                 TradeoffRow(
                     c=c,

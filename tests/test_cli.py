@@ -135,7 +135,15 @@ def test_addition_checks_t_and_r_before_drawing(capsys, monkeypatch):
 def test_addition_budget_bounds_the_draw(capsys):
     code, out, err = run_cli(capsys, "addition", "--t", "4", "--r", "64", "--budget", "1")
     assert_one_line_exit_two(code, out, err, "BudgetExceeded")
-    assert "r*T = 256 exceeds budget 1" in err and "Traceback" not in err
+    assert err == (
+        "BudgetExceeded: 256 drawn elements (r*T) exceed the budget of 1; no r fits at T=4\n"
+    )
+    code, out, err = run_cli(capsys, "addition", "--t", "16", "--r", "10000000")
+    assert_one_line_exit_two(code, out, err, "BudgetExceeded")
+    assert err == (
+        "BudgetExceeded: 160000000 drawn elements (r*T) exceed the budget of 10000000; "
+        "the largest r that fits at T=16 is 625000\n"
+    )
     argv = ["addition", "--t", "4", "--r", "6400", "--seed", "3"]
     code, out, _ = run_cli(capsys, *argv)
     code2, out2, _ = run_cli(capsys, *argv, "--budget", str(4 * 6400))
@@ -425,14 +433,15 @@ def test_search_past_the_budget_fails_fast():
         (("search", "--n", "2", "--k", "5000"),
          "3^10000 strategies exceed the budget of 10000000; no n fits at k=5000"),
         (("quantum", "--n", "20000", "--k", "2"),
-         "2^19999 valid inputs exceed budget 10000000"),
+         "2^19999 valid inputs exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 24"),
         # the scan refuses before the broadcast prefixes are computed
         (("tradeoff", "--n", "20000", "--k", "2"),
-         "canonical scan: up to 200030001 vectors per layer exceed 10000000; "
+         "200030001 rectangle classes exceed the budget of 10000000; "
          "the largest n that fits at k=2 is 4470"),
         # and before its 2**40 - 1 parts are built
         (("rect-scan", "--n", "2", "--k", "40"),
-         "canonical scan: up to 604462909806764831539200 vectors per layer exceed 10000000; "
+         "604462909806764831539200 rectangle classes exceed the budget of 10000000; "
          "no n fits at k=40"),
     ],
     ids=["search", "quantum", "tradeoff", "rect-scan"],
@@ -442,6 +451,36 @@ def test_huge_requests_are_refused_in_one_line(argv, expected):
     assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
     assert proc.stderr == f"BudgetExceeded: {expected}\n"
     assert elapsed < 2.0
+
+
+def test_valid_input_refusals_name_the_largest_n_that_fits(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    mixed = random_mixed_lhv(random.Random(2), 3, 2)
+    model.write_text(serialize.dumps(serialize.mixed_lhv_to_json(mixed)))
+    tree = tmp_path / "tree.json"
+    tree.write_text(serialize.dumps(serialize.tree_to_json(broadcast_strategy(GhzInstance(5, 2)))))
+    for argv, expected in [
+        (("lhv-eval", "--n", "30", "--k", "2", "--model", str(model)),
+         "536870912 valid inputs exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 24"),
+        # the valid inputs are counted before the strategies
+        (("search", "--n", "30", "--k", "2"),
+         "536870912 valid inputs exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 24"),
+        (("protocol-run", "--tree", str(tree), "--evaluate", "--budget", "10"),
+         "16 valid inputs exceed the budget of 10; the largest n that fits at k=2 is 4"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_line_exit_two(code, out, err, "BudgetExceeded")
+        assert err == f"BudgetExceeded: {expected}\n"
+
+
+def test_quantum_walks_two_parity_classes_per_input():
+    # 32,768 valid inputs times 2**16 outcomes: an amplitude per outcome takes minutes
+    proc, elapsed = run_fresh("quantum", "--n", "16", "--k", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["passed"] is True
+    assert elapsed < 10.0
 
 
 def test_cross_check_mismatch_exits_one(capsys, monkeypatch):

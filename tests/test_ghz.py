@@ -9,10 +9,10 @@ import pytest
 
 from nonlocal_lab import ghz
 from nonlocal_lab.errors import (
+    BudgetExceeded,
     CrossCheckMismatch,
     InvalidInput,
     LengthMismatch,
-    ResourceLimit,
 )
 from nonlocal_lab.ghz import (
     AMPLITUDE_TOLERANCE,
@@ -126,12 +126,64 @@ def test_promise_equivalence_small_exhaustive():
         assert equivalence_max_deviation(inst) < AMPLITUDE_TOLERANCE
 
 
+def per_outcome_max_deviation(inst):
+    """Oracle: the per-outcome loop that equivalence_max_deviation replaced,
+    one probability for each of the 2**n outcomes of every valid input."""
+    n, k = inst.n, inst.k
+    phases = ghz._phase_table(k)
+    scale = ghz._INV_SQRT2**n
+    parities = tuple(bin(m).count("1") & 1 for m in range(2**n))
+    p_allowed = 1.0 / 2 ** (n - 1)
+    worst = 0.0
+    for x in valid_inputs(inst):
+        overlap_one = 1 + 0j
+        for xi in x:
+            overlap_one *= phases[xi]
+        overlap_one *= scale
+        bit = (sum(x) % (2 * k)) // k
+        for m in range(2**n):
+            sign = -1.0 if parities[m] else 1.0
+            amp = (scale + sign * overlap_one) * ghz._INV_SQRT2
+            p = amp.real * amp.real + amp.imag * amp.imag
+            t = p_allowed if parities[m] == bit else 0.0
+            worst = max(worst, abs(p - t))
+    return worst
+
+
+def test_two_parity_classes_match_the_per_outcome_oracle():
+    # every size with k <= 16 and at most 2**16 (input, outcome) points
+    sizes = [
+        (n, k) for k in range(2, 17) for n in range(2, 17) if k ** (n - 1) * 2**n <= 1 << 16
+    ]
+    assert len(sizes) == 55
+    for n, k in sizes:
+        inst = GhzInstance(n=n, k=k)
+        assert equivalence_max_deviation(inst) == per_outcome_max_deviation(inst), (n, k)
+
+
+def test_cross_check_visits_both_parities_on_varying_outcomes(monkeypatch):
+    calls = []
+    exact = ghz.quantum_probability
+
+    def record(inst, x, a):
+        calls.append(a)
+        return exact(inst, x, a)
+
+    monkeypatch.setattr(ghz, "quantum_probability", record)
+    equivalence_max_deviation(GhzInstance(n=4, k=2), cross_check_stride=1)
+    assert [sum(a) % 2 for a in calls] == [0, 1] * 8  # one check per (input, parity)
+    for parity in (0, 1):
+        assert len({a for a in calls if sum(a) % 2 == parity}) == 8
+
+
 def test_cross_check_raises_when_the_routes_disagree(monkeypatch):
     # an explicit raise, not an assert, so the check also runs under python -O
     exact = ghz.quantum_probability
     monkeypatch.setattr(ghz, "quantum_probability", lambda *a: exact(*a) + 1e-9)
     with pytest.raises(CrossCheckMismatch):
         equivalence_max_deviation(GhzInstance(n=3, k=2), cross_check_stride=1)
+    with pytest.raises(CrossCheckMismatch):  # fewer pairs than the stride: the first is checked
+        equivalence_max_deviation(GhzInstance(n=2, k=2))
 
 
 def test_phase_measurement():
@@ -153,8 +205,11 @@ def test_ghz_problem_support_sizes():
 
 
 def test_ghz_problem_resource_limit():
-    with pytest.raises(ResourceLimit):
-        ghz_problem(GhzInstance(n=4, k=4), cap=10)
+    with pytest.raises(
+        BudgetExceeded,
+        match="^64 valid inputs exceed the budget of 10; the largest n that fits at k=4 is 2$",
+    ):
+        ghz_problem(GhzInstance(n=4, k=4), budget=10)
 
 
 def test_ghz_problem_weights_sum_to_one():

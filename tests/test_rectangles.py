@@ -309,15 +309,15 @@ def test_canonical_budget_rejects_at_once():
 @pytest.mark.parametrize(
     "n,k,message",
     [
-        (4471, 2, "up to 10001628 vectors per layer exceed 10000000; "
+        (4471, 2, "10001628 rectangle classes exceed the budget of 10000000; "
                   "the largest n that fits at k=2 is 4470"),
-        (13, 4, "up to 20058300 vectors per layer exceed 10000000; "
+        (13, 4, "20058300 rectangle classes exceed the budget of 10000000; "
                 "the largest n that fits at k=4 is 12"),
-        (2, 18, "up to 34359607296 vectors per layer exceed 10000000; "
+        (2, 18, "34359607296 rectangle classes exceed the budget of 10000000; "
                 "no n fits at k=18"),  # n = 1 fits, but no instance has one party
-        (2, 40, "up to 604462909806764831539200 vectors per layer exceed 10000000; "
+        (2, 40, "604462909806764831539200 rectangle classes exceed the budget of 10000000; "
                 "no n fits at k=40"),
-        (2, 8000, "up to C(2+2^8000-2, 2^8000-1) vectors per layer exceed 10000000; "
+        (2, 8000, "C(2+2^8000-2, 2^8000-1) rectangle classes exceed the budget of 10000000; "
                   "no n fits at k=8000"),
     ],
     ids=["k=2", "k=4", "k=18", "k=40", "k=8000"],
@@ -330,7 +330,7 @@ def test_scan_budget_is_checked_before_any_part_is_built(monkeypatch, n, k, mess
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as exc:
         scan_rectangles(GhzInstance(n=n, k=k), DEFAULT_GRID, budget=10**7)
-    assert str(exc.value) == f"canonical scan: {message}"
+    assert str(exc.value) == message
     assert time.perf_counter() - start < 1
 
 

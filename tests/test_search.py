@@ -12,6 +12,7 @@ from conftest import lattice_scan, random_weights
 from nonlocal_lab.errors import BudgetExceeded, CrossCheckMismatch, Infeasible, InvalidInput
 from nonlocal_lab.ghz import (
     GhzInstance,
+    broadcast_prefix_stats,
     broadcast_prefix_strategy,
     ghz_problem,
 )
@@ -326,14 +327,6 @@ def test_lp_monotone_in_error_budget():
     assert values[-1] == 1
 
 
-def test_lp_relaxed_variant_is_at_least_as_large():
-    problem = ghz_problem(GhzInstance(n=2, k=2))
-    for eps in (F(0), F(1, 10)):
-        strict = eta_star_lp(problem, eps).optimum
-        relaxed = eta_star_lp(problem, eps, relaxed=True).optimum
-        assert relaxed >= strict
-
-
 def test_lp_negative_budget_infeasible():
     problem = ghz_problem(GhzInstance(n=2, k=2))
     with pytest.raises(Infeasible):
@@ -354,7 +347,7 @@ def test_lp_witness_click_probability_is_input_independent():
 def full_column_lp_oracle(problem):
     """Independent route: the eta* LP with one column per silent-allowed
     strategy, (l+1)**(n*k) columns, solved by the rational reference tableau.
-    Returns a solver ``(eps, relaxed) -> q``."""
+    Returns a solver ``eps -> q``."""
     n, k, l = problem.n, problem.k, problem.l
     support = problem.support
     entries = list(range(l)) + [None]
@@ -376,16 +369,11 @@ def full_column_lp_oracle(problem):
         )
     m = len(clicks)
 
-    def solve(eps, relaxed):
+    def solve(eps):
         eq = [([F(1)] * m + [F(0)], F(1))]
-        ub = []
         for xi in range(len(support)):
-            row = [F(int(col[xi])) for col in clicks] + [F(-1)]
-            if relaxed:
-                ub.append(([-c for c in row], F(0)))
-            else:
-                eq.append((row, F(0)))
-        ub.append((errs + [-eps], F(0)))
+            eq.append(([F(int(col[xi])) for col in clicks] + [F(-1)], F(0)))
+        ub = [(errs + [-eps], F(0))]
         return _fraction_simplex_reference([F(0)] * m + [F(1)], eq, ub)[1][m]
 
     return solve
@@ -399,10 +387,9 @@ def test_lp_over_click_patterns_matches_full_column_lp(n, k):
     assert columns.enumerated == 3 ** (n * k)
     assert len(set(columns.patterns)) == len(columns.patterns)
     for eps in (F(0), F(1, 10), F(1, 4), F(1)):
-        for relaxed in (False, True):
-            report = eta_star_lp(problem, eps, relaxed=relaxed)
-            assert report.optimum == oracle(eps, relaxed), (eps, relaxed)
-            assert report.enumerated == 3 ** (n * k)
+        report = eta_star_lp(problem, eps)
+        assert report.optimum == oracle(eps), eps
+        assert report.enumerated == 3 ** (n * k)
 
 
 def test_lp_four_parties_pinned(monkeypatch):
@@ -493,6 +480,42 @@ def test_tradeoff_bound_is_the_least_over_the_scans(monkeypatch):
     assert [r.bound_eta_n for r in table.rows] == [F(9, 32), F(9, 16), F(9, 16), 1, 1, 1]
     assert model_respects_rectangle_bound(inst, scans, 0, F(9, 32), F(0))
     assert not model_respects_rectangle_bound(inst, scans, 0, F(9, 32) + F(1, 10**6), F(0))
+
+
+def nested_loop_achievable(inst, c_grid, eps_grid):
+    """Oracle: the achievable entries of the trade-off table from a scan of
+    every broadcast prefix at every (c, eps) grid point, then the LP."""
+    points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
+    lp_ok = 3 ** (inst.n * inst.k) <= search._LP_BUDGET
+    columns = detector_columns(ghz_problem(inst)) if lp_ok else None
+    out = []
+    for c in c_grid:
+        for eps in eps_grid:
+            best, source = None, "none"
+            for p in points:
+                if p.cost <= c and p.eps <= eps:
+                    if best is None or p.eta_n_converted > best:
+                        best, source = p.eta_n_converted, f"broadcast_prefix[{p.prefix}]"
+            if columns is not None:
+                q = search.eta_star_from_columns(columns, eps).optimum
+                if best is None or q > best:
+                    best, source = q, "eta_star_lp"
+            out.append((c, eps, best, source))
+    return out
+
+
+def test_tradeoff_rows_match_the_nested_loop(monkeypatch):
+    # the rows' bounds come from the scan, which this comparison leaves out
+    monkeypatch.setattr(search, "scan_rectangles", lambda *args, **kwargs: ())
+    eps_grid = [F(0), F(1, 100), F(1, 32), F(1, 10), F(1, 8), F(1, 5), F(1, 4), F(1, 3),
+                F(1, 2), F(1)]
+    for k in (2, 3, 4):
+        for n in range(2, 13):
+            inst = GhzInstance(n=n, k=k)
+            c_grid = list(range(n * (k - 1).bit_length() + 2))
+            table = tradeoff_table(inst, c_grid, eps_grid)
+            rows = [(r.c, r.eps, r.achievable_eta_n, r.achievable_source) for r in table.rows]
+            assert rows == nested_loop_achievable(inst, c_grid, eps_grid), (n, k)
 
 
 def test_tradeoff_table_rejects_negative_bit_counts():
