@@ -20,7 +20,6 @@ from nonlocal_lab import (
     ProtocolTree,
     Rectangle,
     advantage_bias_relation,
-    cross_check_problem,
     error_probability,
     ghz_problem,
     induced_distribution,
@@ -68,7 +67,7 @@ def main() -> None:
     print(
         f"  parity classes inside the promise: n0={stats.n0}, n1={stats.n1}, bias = {stats.bias}"
     )
-    assert advantage_bias_relation(stats, cross_check_problem(inst))
+    assert advantage_bias_relation(stats, ghz_problem(inst))
     print(
         f"  max outcome advantage {stats.max_advantage} = (1+bias)/(2+bias), "
         "also over every click outcome\n"

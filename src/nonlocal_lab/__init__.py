@@ -92,7 +92,6 @@ from .rectangles import (
     advantage,
     advantage_bias_relation,
     bias,
-    cross_check_problem,
     eta_n_bound,
     involvement,
     iter_rectangles,

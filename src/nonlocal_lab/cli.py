@@ -17,7 +17,6 @@ import io
 import itertools
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -33,9 +32,8 @@ from .errors import (
     NotPowerOfTwo,
     TooFewSets,
     check_budget,
+    table_fits,
 )
-
-ENV_BUDGET = "NONLOCAL_LAB_BUDGET"
 
 
 def _jsonify(obj: Any) -> Any:
@@ -107,7 +105,7 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
         _write_text(args.export_problem, serialize.dumps(serialize.problem_to_json(problem)))
     max_dev = ghz.equivalence_max_deviation(inst)
     table: Optional[list[dict]] = None
-    if count * 2**inst.n <= 4096:
+    if table_fits(count * 2**inst.n, args.budget):
         table = []
         for x in ghz.valid_inputs(inst):
             for a in itertools.product(range(2), repeat=inst.n):
@@ -153,6 +151,8 @@ def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
+    # the strategies need only the shape: refuse them before building inputs
+    search.check_strategy_budget(inst.n, inst.k, ghz.OUTPUTS, args.budget)
     problem = ghz.ghz_problem(inst, budget=args.budget)
     columns = search.detector_columns(problem, budget=args.budget)
     det = search.best_deterministic_error_from_columns(columns)
@@ -196,8 +196,8 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     relation_ok = True
     stats: list[rectangles.RectangleStats] = []
     stats_csv = None
-    if (2**inst.k - 1) ** inst.n <= min(args.budget, 4096):
-        problem = rectangles.cross_check_problem(inst)
+    if table_fits((2**inst.k - 1) ** inst.n, args.budget):
+        problem = ghz.ghz_problem(inst)
         for r in rectangles.iter_rectangles(inst):
             try:
                 record = rectangles.rectangle_stats(r, inst)
@@ -461,8 +461,8 @@ def _add_common(p: argparse.ArgumentParser, need_nk: bool = True) -> None:
     p.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help=f"enumeration cap (default {ENV_BUDGET} or {DEFAULT_BUDGET})",
+        default=DEFAULT_BUDGET,
+        help=f"enumeration cap (default {DEFAULT_BUDGET})",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
@@ -544,11 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "tradeoff" and args.c_grid is None:
         args.c_grid = list(range(0, args.n * max(1, math.ceil(math.log2(args.k))) + 1))
-    budget = str(os.environ.get(ENV_BUDGET, DEFAULT_BUDGET) if args.budget is None else args.budget)
     try:
-        if not budget.isdecimal() or int(budget) < 1:
-            raise InvalidInput(f"the budget must be a positive integer, got {budget!r}")
-        args.budget = int(budget)
+        if args.budget < 1:
+            raise InvalidInput(f"the budget must be a positive integer, got '{args.budget}'")
         report, passed = args.fn(args)
         _emit(report, args)
     except NonlocalLabError as exc:

@@ -25,8 +25,18 @@ class BudgetExceeded(NonlocalLabError):
     """A request would enumerate more than its budget allows."""
 
 
-#: the command line's budget, and the library's default cap on valid inputs
+#: the one default budget, of the command line and of every library entry point
 DEFAULT_BUDGET = 10**7
+#: an optional table (the quantum table, the rectangle statistics, the
+#: trade-off LP) is built only when its size is at most this and the budget
+TABLE_LIMIT = 4096
+
+
+def table_fits(count: int, budget: int) -> bool:
+    """The one rule for optional tables: ``count`` is within the budget and
+    ``TABLE_LIMIT``. An optional table that does not fit is left out, not
+    refused."""
+    return count <= min(budget, TABLE_LIMIT)
 
 
 def check_budget(

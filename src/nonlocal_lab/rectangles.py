@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cyclic import conv, indicator, product
 from .errors import (
+    DEFAULT_BUDGET,
     CrossCheckMismatch,
     DeltaOutOfRange,
     EmptyIntersection,
@@ -30,17 +31,10 @@ from .errors import (
     InvalidInput,
     check_budget,
 )
-from .ghz import OUTPUTS, GhzInstance, ghz_problem
+from .ghz import OUTPUTS, GhzInstance
 from .model import CorrelationProblem, OutcomeVector, all_click
 
 INFINITE = math.inf
-
-#: default cap on the party-permutation classes a scan may cover
-DEFAULT_SCAN_BUDGET = 1 << 24
-#: advantage_bias_relation recomputes the advantage generically only when
-#: valid inputs times click outcomes number at most this many (see
-#: cross_check_problem)
-_CROSS_CHECK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -170,32 +164,20 @@ def bias(r: Rectangle, inst: GhzInstance):
     return rectangle_stats(r, inst).bias
 
 
-def cross_check_problem(inst: GhzInstance) -> Optional[CorrelationProblem]:
-    """The problem :func:`advantage_bias_relation` recomputes advantages on,
-    or ``None`` when valid inputs times click outcomes exceed
-    ``_CROSS_CHECK_BUDGET``. Build it once and pass it for every rectangle."""
-    if inst.valid_input_count() * 2**inst.n > _CROSS_CHECK_BUDGET:
-        return None
-    return ghz_problem(inst)
-
-
-def advantage_bias_relation(
-    stats: RectangleStats, problem: Optional[CorrelationProblem]
-) -> bool:
+def advantage_bias_relation(stats: RectangleStats, problem: CorrelationProblem) -> bool:
     """Verify that bias <= delta holds exactly when every click outcome has
     advantage at most (1+delta)/(2+delta).
 
     Both quantities reduce to the two parity-class counts, so the check is
     the exact identity max_advantage == (1+bias)/(2+bias) (advantage 1 for
-    one-sided rectangles). Given a ``problem`` (see
-    :func:`cross_check_problem`), the maximum advantage is also recomputed
-    from the generic per-outcome definition as an independent route.
+    one-sided rectangles). The maximum advantage is also recomputed on
+    ``problem``, the instance's ``ghz_problem`` built once for every
+    rectangle, from the generic per-outcome definition as an independent
+    route.
     """
     b = stats.bias
     if stats.max_advantage != (1 if b == INFINITE else (1 + b) / (2 + b)):
         return False
-    if problem is None:
-        return True
     r = Rectangle(k=problem.k, sets=stats.sets)
     outcomes = itertools.product(range(problem.l), repeat=problem.n)
     return max(advantage(r, a, problem) for a in outcomes) == stats.max_advantage
@@ -301,7 +283,7 @@ def _residue_pass(n: int, k: int, parts: list, vector) -> tuple[list, int]:
 
 
 def scan_rectangles(
-    inst: GhzInstance, deltas: Sequence[Fraction], budget: int = DEFAULT_SCAN_BUDGET
+    inst: GhzInstance, deltas: Sequence[Fraction], budget: int = DEFAULT_BUDGET
 ) -> tuple[ScanResult, ...]:
     """Maximum input weight over rectangles with some advantage >= delta:
     one exact result per delta of the grid, in grid order, from one pass.
@@ -312,14 +294,12 @@ def scan_rectangles(
     keeps each vector once. The budget applies to the party-permutation
     class count C(n + 2**k - 2, 2**k - 1), which bounds the vectors of any
     layer; it is checked from the 2**k - 1 nonempty parts before any of
-    them is built. The test suite compares the pass with a walk over every
-    rectangle of the lattice.
+    them is built, also for an empty grid. The test suite compares the pass
+    with a walk over every rectangle of the lattice.
     """
     for delta in deltas:
         if not 0 <= delta <= 1:
             raise DeltaOutOfRange(f"delta must be in [0, 1], got {delta}")
-    if not deltas:
-        return ()  # nothing to fold, so nothing to scan
     n, k = inst.n, inst.k
     nparts = 2**k - 1
     check_budget(
@@ -330,6 +310,8 @@ def scan_rectangles(
         f"C({n}+2^{k}-2, 2^{k}-1)",
         f"k={k}",
     )
+    if not deltas:
+        return ()  # nothing to fold, so nothing to scan
     parts = sorted(_subsets(k), key=lambda s: tuple(sorted(s)))
     # one indicator vector per distinct part, shared by every rectangle
     vector = functools.cache(lambda part: indicator(2 * k, part))

@@ -21,8 +21,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import CrossCheckMismatch, Infeasible, InvalidInput, check_budget
-from .ghz import GhzInstance, broadcast_prefix_stats, ghz_problem
+from .errors import (
+    DEFAULT_BUDGET,
+    CrossCheckMismatch,
+    Infeasible,
+    InvalidInput,
+    check_budget,
+    table_fits,
+)
+from .ghz import OUTPUTS, GhzInstance, broadcast_prefix_stats, ghz_problem
 from .model import (
     CorrelationProblem,
     DeterministicLhv,
@@ -30,19 +37,12 @@ from .model import (
     ZERO,
 )
 from .rectangles import (
-    DEFAULT_SCAN_BUDGET,
     ScanResult,
     eta_n_bound,
     rectangle_tradeoff_check,
     scan_rectangles,
 )
 from .simplex import LpResult, solve_lp_max
-
-#: default cap on enumerated strategy vertices
-DEFAULT_SEARCH_BUDGET = 1 << 20
-#: the trade-off table solves the LP only when the (l+1)^(nk) silent-allowed
-#: strategies number at most this many
-_LP_BUDGET = 4096
 
 ONE = Fraction(1)
 
@@ -153,8 +153,17 @@ class DetectorColumns:
     enumerated: int
 
 
+def check_strategy_budget(n: int, k: int, l: int, budget: int) -> int:
+    """The (l+1)**(n*k) silent-allowed strategies of an (n, k, l) problem,
+    refused over ``budget`` with the largest party count that fits at this
+    ``k``. It needs only the shape, so a caller can refuse before building
+    the problem."""
+    s = l + 1
+    return check_budget(lambda m: s ** (m * k), n, budget, "strategies", f"{s}^{n * k}", f"k={k}")
+
+
 def detector_columns(
-    problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET
+    problem: CorrelationProblem, budget: int = DEFAULT_BUDGET
 ) -> DetectorColumns:
     """Over every silent-allowed deterministic strategy, lexicographic with
     the silent symbol sorted last, keep per click pattern the one with the
@@ -163,10 +172,7 @@ def detector_columns(
     The (l+1)**(n*k) strategies are refused over ``budget`` before anything
     is built, with the largest party count that fits at this ``k``.
     """
-    n, k, symbols = problem.n, problem.k, problem.l + 1
-    total = check_budget(
-        lambda m: symbols ** (m * k), n, budget, "strategies", f"{symbols}^{n * k}", f"k={k}"
-    )
+    total = check_strategy_budget(problem.n, problem.k, problem.l, budget)
     patterns, masses, strategies = zip(*_lowest_mass_per_pattern(problem))
     return DetectorColumns(problem, strategies, patterns, masses, enumerated=total)
 
@@ -196,7 +202,7 @@ def best_deterministic_error_from_columns(columns: DetectorColumns) -> SearchRep
 
 
 def best_deterministic_error(
-    problem: CorrelationProblem, budget: int = DEFAULT_SEARCH_BUDGET
+    problem: CorrelationProblem, budget: int = DEFAULT_BUDGET
 ) -> SearchReport:
     """Exhaustive minimum of the forbidden-outcome error over click-only
     deterministic strategies.
@@ -207,8 +213,8 @@ def best_deterministic_error(
     strategies up to and including that witness when the minimum is 0, and
     all l**(n*k) of them otherwise. The figure is read off the eta* LP's
     columns (:func:`best_deterministic_error_from_columns`), so ``budget``
-    caps the (l+1)**(n*k) silent-allowed strategies they walk: n=7, k=2 is
-    refused at the default budget.
+    caps the (l+1)**(n*k) silent-allowed strategies they walk: from n=8, k=2
+    on, a request is refused at the default budget.
     """
     return best_deterministic_error_from_columns(detector_columns(problem, budget))
 
@@ -293,7 +299,7 @@ def eta_star_from_columns(columns: DetectorColumns, eps_budget: Fraction) -> Sea
 
 
 def eta_star_lp(
-    problem: CorrelationProblem, eps_budget: Fraction, budget: int = DEFAULT_SEARCH_BUDGET
+    problem: CorrelationProblem, eps_budget: Fraction, budget: int = DEFAULT_BUDGET
 ) -> SearchReport:
     """Maximum all-click probability of a mixture of silent-allowed
     deterministic strategies whose all-click probability is the same for
@@ -341,20 +347,20 @@ def tradeoff_table(
     c_grid: Sequence[int],
     eps_grid: Sequence[Fraction],
     delta_grid: Sequence[Fraction] = (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
-    budget: int = DEFAULT_SCAN_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> TradeoffTable:
     """Achievable versus bound all-click probability over a (c, eps) grid.
 
     Achievable points come from the broadcast-prefix family (converted to
     detector models, so eta**n = 2**-cost at the prefix error) and, when the
-    vertex count fits the LP budget, from the exact no-communication LP.
-    Prefix costs rise strictly with the prefix, so at each eps the best
-    prefix is the first one within eps, when its cost is at most c. Bounds
-    come from rectangle scans, capped by ``budget``, at the given advantage
-    thresholds; each achievable entry must stay below the bound entry
-    (checked by callers and the test suite; a violation would signal an
-    implementation bug). A negative bit count or error budget is refused
-    before the scan.
+    silent-allowed strategies fit the table rule (``errors.table_fits``), from
+    the exact no-communication LP. Prefix costs rise strictly with the
+    prefix, so at each eps the best prefix is the first one within eps, when
+    its cost is at most c. Bounds come from rectangle scans, capped by
+    ``budget``, at the given advantage thresholds; each achievable entry
+    must stay below the bound entry (checked by callers and the test suite;
+    a violation would signal an implementation bug). A negative bit count
+    or error budget is refused before the scan.
     """
     if any(c < 0 for c in c_grid):
         raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
@@ -364,7 +370,7 @@ def tradeoff_table(
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
     cheapest = {eps: next((p for p in prefix_points if p.eps <= eps), None) for eps in eps_grid}
     lp_optimum: dict[Fraction, Fraction] = {}
-    if 3 ** (inst.n * inst.k) <= _LP_BUDGET:  # binary outputs plus silence
+    if table_fits((OUTPUTS + 1) ** (inst.n * inst.k), budget):  # the LP's strategies
         columns = detector_columns(ghz_problem(inst))
         lp_optimum = {eps: eta_star_from_columns(columns, eps).optimum for eps in set(eps_grid)}
 

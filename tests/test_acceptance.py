@@ -47,7 +47,6 @@ from nonlocal_lab.rectangles import (
     EmptyIntersection,
     Rectangle,
     advantage_bias_relation,
-    cross_check_problem,
     involvement,
     iter_rectangles,
     rectangle_stats,
@@ -213,7 +212,7 @@ def test_criterion_7_rectangle_kernel():
             assert residue_counts(r, modulus) == brute
         for n in (3, 4):
             inst = GhzInstance(n=n, k=2)
-            problem = cross_check_problem(inst)
+            problem = ghz_problem(inst)
             for r in iter_rectangles(inst):
                 m = involvement(r)
                 assert r.size <= 2**m  # k = 2

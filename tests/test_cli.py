@@ -18,6 +18,7 @@ import pytest
 from conftest import random_mixed_lhv
 from nonlocal_lab import cyclic, serialize
 from nonlocal_lab.cli import main
+from nonlocal_lab.errors import TABLE_LIMIT
 from nonlocal_lab.ghz import GhzInstance, broadcast_strategy
 
 F = Fraction
@@ -294,31 +295,30 @@ def test_out_file(tmp_path, capsys):
     assert report["command"] == "quantum"
 
 
-def test_env_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NONLOCAL_LAB_BUDGET", "10")
-    code, _, err = run_cli(capsys, "quantum", "--n", "6", "--k", "8")
-    assert code == 2 and "BudgetExceeded" in err
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_non_positive_budget_is_bad_input(capsys, budget):
+    code, out, err = run_cli(capsys, "search", "--n", "2", "--k", "2", "--budget", budget)
+    assert_one_line_exit_two(code, out, err, "InvalidInput")
+    assert err == f"InvalidInput: the budget must be a positive integer, got '{budget}'\n"
 
 
 @pytest.mark.parametrize(
-    "env,flag,expected",
+    "argv,count,present",
     [
-        ("abc", (), "InvalidInput: the budget must be a positive integer, got 'abc'\n"),
-        (None, ("--budget", "0"), "InvalidInput: the budget must be a positive integer, got '0'\n"),
-        (None, ("--budget", "-5"),
-         "InvalidInput: the budget must be a positive integer, got '-5'\n"),
+        (("quantum", "--n", "3", "--k", "2"), 4 * 2**3, lambda r: r["table"] is not None),
+        (("rect-scan", "--n", "3", "--k", "2"), 3**3, lambda r: r["stats_csv"] is not None),
+        (("tradeoff", "--n", "3", "--k", "2"), 3**6,
+         lambda r: any(row["achievable_source"] == "eta_star_lp" for row in r["rows"])),
     ],
+    ids=["quantum", "rect-scan", "tradeoff"],
 )
-def test_a_non_positive_or_non_integer_budget_is_bad_input(
-    capsys, monkeypatch, env, flag, expected
-):
-    if env is None:
-        monkeypatch.delenv("NONLOCAL_LAB_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("NONLOCAL_LAB_BUDGET", env)
-    code, out, err = run_cli(capsys, "search", "--n", "2", "--k", "2", *flag)
-    assert_one_line_exit_two(code, out, err, "InvalidInput")
-    assert err == expected
+def test_optional_tables_fit_the_budget_and_the_table_limit(capsys, argv, count, present):
+    # valid inputs times outcomes, rectangles, and the LP's silent-allowed strategies
+    assert count <= TABLE_LIMIT
+    for budget, expected in ((None, True), (count, True), (count - 1, False)):
+        flag = () if budget is None else ("--budget", str(budget))
+        code, out, _ = run_cli(capsys, *argv, *flag)
+        assert code == 0 and present(json.loads(out)) is expected
 
 
 def test_rect_scan_replay_is_bit_identical(capsys):
@@ -347,7 +347,7 @@ def test_rect_scan_reports_are_pinned(capsys):
 
 
 def test_rect_scan_builds_the_problem_once(capsys, monkeypatch):
-    from nonlocal_lab import ghz, rectangles
+    from nonlocal_lab import ghz
 
     calls = []
     build = ghz.ghz_problem
@@ -356,8 +356,7 @@ def test_rect_scan_builds_the_problem_once(capsys, monkeypatch):
         calls.append(args)
         return build(*args, **kwargs)
 
-    for module in (ghz, rectangles):
-        monkeypatch.setattr(module, "ghz_problem", counted)
+    monkeypatch.setattr(ghz, "ghz_problem", counted)
     code, out, _ = run_cli(capsys, "rect-scan", "--n", "5", "--k", "2")
     assert code == 0
     assert json.loads(out)["advantage_bias_relation"]["checked"] == 227
@@ -405,7 +404,6 @@ def run_fresh(*argv):
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    env.pop("NONLOCAL_LAB_BUDGET", None)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "nonlocal_lab.cli", *argv],
@@ -432,6 +430,13 @@ def test_search_past_the_budget_fails_fast():
         # counts past CPython's int-to-text digit limit print as powers
         (("search", "--n", "2", "--k", "5000"),
          "3^10000 strategies exceed the budget of 10000000; no n fits at k=5000"),
+        # the strategies are counted from the shape, before any valid input is built
+        (("search", "--n", "20", "--k", "2"),
+         "12157665459056928801 strategies exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 7"),
+        (("search", "--n", "30", "--k", "2"),
+         "42391158275216203514294433201 strategies exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 7"),
         (("quantum", "--n", "20000", "--k", "2"),
          "2^19999 valid inputs exceed the budget of 10000000; "
          "the largest n that fits at k=2 is 24"),
@@ -443,8 +448,18 @@ def test_search_past_the_budget_fails_fast():
         (("rect-scan", "--n", "2", "--k", "40"),
          "604462909806764831539200 rectangle classes exceed the budget of 10000000; "
          "no n fits at k=40"),
+        # an empty delta grid scans nothing, but its size is still counted
+        (("tradeoff", "--n", "4471", "--k", "2", "--delta-grid="),
+         "10001628 rectangle classes exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 4470"),
+        (("rect-scan", "--n", "2", "--k", "40", "--delta-grid="),
+         "604462909806764831539200 rectangle classes exceed the budget of 10000000; "
+         "no n fits at k=40"),
     ],
-    ids=["search", "quantum", "tradeoff", "rect-scan"],
+    ids=[
+        "search", "search-n20", "search-n30", "quantum", "tradeoff", "rect-scan",
+        "tradeoff-empty-grid", "rect-scan-empty-grid",
+    ],
 )
 def test_huge_requests_are_refused_in_one_line(argv, expected):
     proc, elapsed = run_fresh(*argv)
@@ -461,10 +476,6 @@ def test_valid_input_refusals_name_the_largest_n_that_fits(tmp_path, capsys):
     tree.write_text(serialize.dumps(serialize.tree_to_json(broadcast_strategy(GhzInstance(5, 2)))))
     for argv, expected in [
         (("lhv-eval", "--n", "30", "--k", "2", "--model", str(model)),
-         "536870912 valid inputs exceed the budget of 10000000; "
-         "the largest n that fits at k=2 is 24"),
-        # the valid inputs are counted before the strategies
-        (("search", "--n", "30", "--k", "2"),
          "536870912 valid inputs exceed the budget of 10000000; "
          "the largest n that fits at k=2 is 24"),
         (("protocol-run", "--tree", str(tree), "--evaluate", "--budget", "10"),

@@ -25,7 +25,6 @@ from nonlocal_lab.rectangles import (
     advantage,
     advantage_bias_relation,
     bias,
-    cross_check_problem,
     eta_n_bound,
     involvement,
     iter_rectangles,
@@ -101,7 +100,7 @@ def test_bias_examples():
 
 def test_advantage_bias_relation_examples():
     inst = GhzInstance(n=3, k=2)
-    problem = cross_check_problem(inst)
+    problem = ghz_problem(inst)
     balanced = Rectangle(
         k=2, sets=(frozenset({0, 1}), frozenset({0, 1}), frozenset({0}))
     )
@@ -119,33 +118,24 @@ def test_advantage_bias_relation_examples():
     assert stats.bias == INFINITE and stats.max_advantage == 1
     assert advantage_bias_relation(stats, problem)
 
-    # a record that breaks the identity fails; one that keeps it but
-    # disagrees with the generic route fails once a problem is given
-    assert not advantage_bias_relation(dataclasses.replace(stats, max_advantage=F(3, 4)), None)
+    # a record that breaks the identity fails, and so does one that keeps
+    # it but disagrees with the generic route
+    assert not advantage_bias_relation(dataclasses.replace(stats, max_advantage=F(3, 4)), problem)
     wrong = dataclasses.replace(rectangle_stats(cube, inst), sets=balanced.sets)
-    assert advantage_bias_relation(wrong, None)
+    assert wrong.max_advantage == (1 + wrong.bias) / (2 + wrong.bias)
     assert not advantage_bias_relation(wrong, problem)
 
 
 def test_advantage_bias_relation_all_rectangles():
     for n, k in [(3, 2), (4, 2), (2, 3)]:
         inst = GhzInstance(n=n, k=k)
-        problem = cross_check_problem(inst)
-        assert problem is not None  # so every rectangle is cross-checked
+        problem = ghz_problem(inst)
         for r in iter_rectangles(inst):
             try:
                 stats = rectangle_stats(r, inst)
             except EmptyIntersection:
                 continue
             assert advantage_bias_relation(stats, problem)
-
-
-def test_cross_check_problem_only_within_its_budget():
-    # valid inputs times click outcomes: 2**19 and 2**22 at k=4, 2**19 and 2**21 at k=2
-    assert cross_check_problem(GhzInstance(n=7, k=4)) is not None
-    assert cross_check_problem(GhzInstance(n=8, k=4)) is None
-    assert cross_check_problem(GhzInstance(n=10, k=2)) is not None
-    assert cross_check_problem(GhzInstance(n=11, k=2)) is None
 
 
 def test_involvement_examples():
@@ -334,9 +324,15 @@ def test_scan_budget_is_checked_before_any_part_is_built(monkeypatch, n, k, mess
     assert time.perf_counter() - start < 1
 
 
-def test_empty_grid_scans_nothing():
-    # no result to fold into, so not even an over-budget size is scanned
-    assert scan_rectangles(GhzInstance(n=24, k=4), []) == ()
+def test_empty_grid_scans_nothing(monkeypatch):
+    # no result to fold into, so no part is built
+    monkeypatch.setattr(rectangles, "_subsets", None)
+    assert scan_rectangles(GhzInstance(n=12, k=4), []) == ()
+
+
+def test_empty_grid_is_refused_over_the_budget():
+    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=4 is 12$"):
+        scan_rectangles(GhzInstance(n=13, k=4), [])
 
 
 def test_full_involvement_bias_decreases_with_party_count():

@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import lattice_scan, random_weights
-from nonlocal_lab.errors import BudgetExceeded, CrossCheckMismatch, Infeasible, InvalidInput
+from nonlocal_lab.errors import (
+    TABLE_LIMIT,
+    BudgetExceeded,
+    CrossCheckMismatch,
+    Infeasible,
+    InvalidInput,
+)
 from nonlocal_lab.ghz import (
     GhzInstance,
     broadcast_prefix_stats,
@@ -267,9 +273,9 @@ def test_budget_errors_name_the_largest_party_count_that_fits():
 
 
 def test_library_figures_share_the_silent_allowed_budget():
-    # 2**14 click-only strategies fit the default budget, 3**14 do not
-    problem = ghz_problem(GhzInstance(n=7, k=2))
-    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 6$"):
+    # 2**16 click-only strategies fit the default budget, 3**16 do not
+    problem = ghz_problem(GhzInstance(n=8, k=2))
+    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 7$"):
         best_deterministic_error(problem)
 
 
@@ -486,7 +492,7 @@ def nested_loop_achievable(inst, c_grid, eps_grid):
     """Oracle: the achievable entries of the trade-off table from a scan of
     every broadcast prefix at every (c, eps) grid point, then the LP."""
     points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
-    lp_ok = 3 ** (inst.n * inst.k) <= search._LP_BUDGET
+    lp_ok = 3 ** (inst.n * inst.k) <= TABLE_LIMIT
     columns = detector_columns(ghz_problem(inst)) if lp_ok else None
     out = []
     for c in c_grid:
