@@ -8,6 +8,7 @@ model (with any communication and detector efficiency) must satisfy.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 from nonlocal_lab import (
@@ -31,6 +32,12 @@ from nonlocal_lab import (
     scan_rectangles,
     to_detector_model,
 )
+
+
+def check(ok: bool, what: str) -> None:
+    """Exit 1 with a one-line message unless ``ok`` (kept under ``python -O``)."""
+    if not ok:
+        sys.exit(f"rectangle_tradeoff: {what} failed")
 
 
 def random_protocol(rng: random.Random, n: int, k: int) -> MixedProtocol:
@@ -67,7 +74,7 @@ def main() -> None:
     print(
         f"  parity classes inside the promise: n0={stats.n0}, n1={stats.n1}, bias = {stats.bias}"
     )
-    assert advantage_bias_relation(stats, ghz_problem(inst))
+    check(advantage_bias_relation(stats, ghz_problem(inst)), "the advantage-bias relation")
     print(
         f"  max outcome advantage {stats.max_advantage} = (1+bias)/(2+bias), "
         "also over every click outcome\n"
@@ -91,8 +98,14 @@ def main() -> None:
         eps = error_probability(induced_distribution(mp, problem), problem)
         met = mixed_lhv_metrics(to_detector_model(mp), problem)
         for s in scans:
-            assert rectangle_tradeoff_check(s.delta, s.r_cap, c, Fraction(1), eps, 3)
-            assert rectangle_tradeoff_check(s.delta, s.r_cap, 0, met.eta_n, met.eps, 3)
+            check(
+                rectangle_tradeoff_check(s.delta, s.r_cap, c, Fraction(1), eps, 3),
+                f"the trade-off check of a {c}-bit protocol at delta={s.delta}",
+            )
+            check(
+                rectangle_tradeoff_check(s.delta, s.r_cap, 0, met.eta_n, met.eps, 3),
+                f"the trade-off check of its detector model at delta={s.delta}",
+            )
             checks += 2
     print(f"  all {checks} checks hold exactly.")
 

@@ -91,6 +91,7 @@ from .rectangles import (
     ScanResult,
     advantage,
     advantage_bias_relation,
+    advantages,
     bias,
     eta_n_bound,
     involvement,

@@ -203,7 +203,8 @@ def cmd_rect_scan(args: argparse.Namespace) -> tuple[dict, bool]:
                 record = rectangles.rectangle_stats(r, inst)
             except EmptyIntersection:
                 continue
-            relation_ok = relation_ok and rectangles.advantage_bias_relation(record, problem)
+            # evaluate every record, also after a failure, as "checked" reports
+            relation_ok &= rectangles.advantage_bias_relation(record, problem)
             stats.append(record)
         stats_csv = rectangles.stats_to_csv(stats)
     passed = relation_ok

@@ -89,22 +89,37 @@ def involvement(r: Rectangle) -> int:
     return m
 
 
-def advantage(r: Rectangle, a: OutcomeVector, problem: CorrelationProblem) -> Fraction:
-    """Fraction of the rectangle's input weight on which outcome ``a`` is
-    admissible (has nonzero target probability)."""
-    if len(a) != r.n or not all_click(a):
-        raise InvalidInput("advantage is defined for click-only outcomes of length n")
+def advantages(r: Rectangle, problem: CorrelationProblem) -> dict[OutcomeVector, Fraction]:
+    """Every click outcome's advantage on ``r``, from one sweep of rectangle
+    ∩ support: the fraction of the rectangle's input weight on which the
+    outcome is admissible (has nonzero target probability).
+
+    Each input of ``r`` with nonzero weight adds its weight to the total and
+    to the tally of every outcome in ``{0..l-1}^n`` that its target row
+    admits; outcomes admitted nowhere in ``r`` are not listed (advantage 0).
+    Reads only ``problem.mu`` and ``problem.target``. Raises ``EmptyWeight``
+    when the rectangle carries no input weight.
+    """
+    alphabet = frozenset(range(problem.l))
     weight = Fraction(0)
-    admissible = Fraction(0)
-    for x in problem.support:
-        if x in r:
-            w = problem.mu_weight(x)
+    tally: dict[OutcomeVector, Fraction] = {}
+    for x, w in problem.mu.items():
+        if w > 0 and x in r:
             weight += w
-            if problem.target_prob(x, a) > 0:
-                admissible += w
+            for a, p in problem.target[x].items():
+                if p > 0 and len(a) == problem.n and alphabet.issuperset(a):
+                    tally[a] = tally.get(a, 0) + w
     if weight == 0:
         raise EmptyWeight("rectangle carries no input weight")
-    return admissible / weight
+    return {a: t / weight for a, t in tally.items()}
+
+
+def advantage(r: Rectangle, a: OutcomeVector, problem: CorrelationProblem) -> Fraction:
+    """Fraction of the rectangle's input weight on which outcome ``a`` is
+    admissible (has nonzero target probability); see :func:`advantages`."""
+    if len(a) != r.n or not all_click(a):
+        raise InvalidInput("advantage is defined for click-only outcomes of length n")
+    return advantages(r, problem).get(a, Fraction(0))
 
 
 def _max_advantage(n0: int, n1: int) -> Fraction:
@@ -172,15 +187,15 @@ def advantage_bias_relation(stats: RectangleStats, problem: CorrelationProblem) 
     the exact identity max_advantage == (1+bias)/(2+bias) (advantage 1 for
     one-sided rectangles). The maximum advantage is also recomputed on
     ``problem``, the instance's ``ghz_problem`` built once for every
-    rectangle, from the generic per-outcome definition as an independent
-    route.
+    rectangle, as an independent route: :func:`advantages` sweeps the
+    rectangle's supported inputs once, reading only the input weights and
+    target rows, and tallies every admissible click outcome in that sweep.
     """
     b = stats.bias
     if stats.max_advantage != (1 if b == INFINITE else (1 + b) / (2 + b)):
         return False
     r = Rectangle(k=problem.k, sets=stats.sets)
-    outcomes = itertools.product(range(problem.l), repeat=problem.n)
-    return max(advantage(r, a, problem) for a in outcomes) == stats.max_advantage
+    return max(advantages(r, problem).values(), default=0) == stats.max_advantage
 
 
 def stats_to_csv(stats: Sequence[RectangleStats]) -> str:

@@ -1,5 +1,5 @@
-"""Shared random generators for protocol and model tests, and the lattice
-oracle for the rectangle scan.
+"""Shared random generators for protocol and model tests, the lattice
+oracle for the rectangle scan and the per-outcome advantage oracle.
 
 All randomness is seeded at the call site so every test run is replayable.
 """
@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from nonlocal_lab.cyclic import indicator, product
 from nonlocal_lab.ghz import GhzInstance
-from nonlocal_lab.model import DeterministicLhv, MixedLhv
+from nonlocal_lab.errors import EmptyWeight
+from nonlocal_lab.model import CorrelationProblem, DeterministicLhv, MixedLhv
 from nonlocal_lab.protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree
-from nonlocal_lab.rectangles import ScanResult
+from nonlocal_lab.rectangles import Rectangle, ScanResult
 
 
 def lattice_scan(inst: GhzInstance, deltas) -> tuple[ScanResult, ...]:
@@ -43,6 +44,30 @@ def lattice_scan(inst: GhzInstance, deltas) -> tuple[ScanResult, ...]:
         ScanResult(delta, Fraction(total, denom), len(subsets) ** n, w)
         for delta, total, w in zip(deltas, best, witness)
     )
+
+
+def per_outcome_advantage(r: Rectangle, a, problem: CorrelationProblem) -> Fraction:
+    """Oracle for ``rectangles.advantages``: one scan of the whole support
+    for the single outcome ``a``, the fraction of the rectangle's input
+    weight on which ``a`` has nonzero target probability."""
+    weight = Fraction(0)
+    admissible = Fraction(0)
+    for x in problem.support:
+        if x in r:
+            w = problem.mu_weight(x)
+            weight += w
+            if problem.target_prob(x, a) > 0:
+                admissible += w
+    if weight == 0:
+        raise EmptyWeight("rectangle carries no input weight")
+    return admissible / weight
+
+
+def per_outcome_advantages(r: Rectangle, problem: CorrelationProblem) -> dict:
+    """Every click outcome in ``{0..l-1}^n`` with nonzero
+    :func:`per_outcome_advantage`, one support scan per outcome."""
+    outcomes = itertools.product(range(problem.l), repeat=problem.n)
+    return {a: v for a in outcomes if (v := per_outcome_advantage(r, a, problem))}
 
 
 def random_click_lhv(rng: random.Random, n: int, k: int, l: int = 2) -> DeterministicLhv:

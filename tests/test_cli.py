@@ -368,6 +368,23 @@ def assert_one_line_exit_two(code, out, err, name):
     assert err.count("\n") == 1 and err.startswith(f"{name}:")
 
 
+def test_rect_scan_checks_every_record_after_a_failure(capsys, monkeypatch):
+    from nonlocal_lab import rectangles
+
+    relation = rectangles.advantage_bias_relation
+    calls = []
+
+    def first_fails(record, problem):
+        calls.append(record.sets)
+        return relation(record, problem) and len(calls) > 1
+
+    monkeypatch.setattr(rectangles, "advantage_bias_relation", first_fails)
+    code, out, _ = run_cli(capsys, "rect-scan", "--n", "3", "--k", "2")
+    report = json.loads(out)["advantage_bias_relation"]
+    assert code == 1 and report["all_passed"] is False
+    assert report["checked"] == len(calls) == len(set(calls)) == 23
+
+
 def test_rect_scan_mode_and_samples_are_usage_errors(capsys):
     for option in (["--mode", "lattice"], ["--samples", "500"]):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the package in ``src/``."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -24,3 +25,18 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("check", ["advantage_bias_relation", "rectangle_tradeoff_check"])
+def test_rectangle_demo_exits_nonzero_when_a_check_fails(monkeypatch, capsys, check):
+    # the verdicts are explicit checks, not asserts that python -O drops
+    spec = importlib.util.spec_from_file_location(
+        "rectangle_tradeoff", ROOT / "demos" / "rectangle_tradeoff.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(demo, check, lambda *args: False)
+    with pytest.raises(SystemExit) as exc:
+        demo.main()
+    assert exc.value.code not in (0, None)
+    assert str(exc.value.code).startswith("rectangle_tradeoff: ")

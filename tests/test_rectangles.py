@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lattice_scan
+from conftest import lattice_scan, per_outcome_advantage, per_outcome_advantages
 from nonlocal_lab import rectangles
 from nonlocal_lab.errors import (
     BudgetExceeded,
@@ -19,11 +19,13 @@ from nonlocal_lab.errors import (
     InvalidInput,
 )
 from nonlocal_lab.ghz import GhzInstance, ghz_problem
+from nonlocal_lab.model import CorrelationProblem
 from nonlocal_lab.rectangles import (
     INFINITE,
     Rectangle,
     advantage,
     advantage_bias_relation,
+    advantages,
     bias,
     eta_n_bound,
     involvement,
@@ -81,6 +83,47 @@ def test_advantage_examples():
         advantage(empty, (0, 0, 0), problem)
     with pytest.raises(InvalidInput):
         advantage(cube, (0, None, 0), problem)
+
+
+def assert_sweep_matches_oracle(r: Rectangle, problem) -> None:
+    """``advantages`` agrees with the per-outcome oracle, also on rectangles
+    that carry no input weight."""
+    try:
+        expected = per_outcome_advantages(r, problem)
+    except EmptyWeight:
+        with pytest.raises(EmptyWeight):
+            advantages(r, problem)
+        return
+    assert advantages(r, problem) == expected
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_advantages_match_the_per_outcome_oracle(n, k):
+    inst = GhzInstance(n=n, k=k)
+    problem = ghz_problem(inst)
+    for r in iter_rectangles(inst):
+        assert_sweep_matches_oracle(r, problem)
+
+
+def test_advantages_on_a_hand_built_problem():
+    # non-uniform weights, a listed zero-weight input whose row admits an
+    # outcome no supported row does, an explicit 0 entry, a silent outcome
+    # and an outcome of the wrong length with positive mass, and a float row
+    mu = {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 2): F(1, 6), (2, 2): F(0)}
+    target = {
+        (0, 0): {(0, 0): F(1, 2), (0, 1): F(0), (1, 0): F(1, 2)},
+        (0, 1): {(0, 1): F(1, 4), (0, None): F(1, 2), (1,): F(1, 4)},
+        (1, 2): {(0, 0): 0.25, (1, 0): 0.75},
+        (2, 2): {(1, 1): F(1)},
+    }
+    problem = CorrelationProblem(n=2, k=3, l=2, mu=mu, target=target)
+    for r in iter_rectangles(GhzInstance(n=2, k=3)):
+        assert_sweep_matches_oracle(r, problem)
+        if any(x in r for x in problem.support):
+            for a in itertools.product(range(2), repeat=2):
+                assert advantage(r, a, problem) == per_outcome_advantage(r, a, problem)
+    whole = Rectangle(k=3, sets=(frozenset({0, 1, 2}),) * 2)
+    assert advantages(whole, problem) == {(0, 0): F(2, 3), (1, 0): F(2, 3), (0, 1): F(1, 3)}
 
 
 def test_bias_examples():
