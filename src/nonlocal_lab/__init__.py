@@ -15,7 +15,8 @@ Submodules:
   near-uniformity (bias) bound verification.
 * :mod:`nonlocal_lab.search`: exhaustive and LP-based optimal classical
   figures at small instance sizes.
-* :mod:`nonlocal_lab.serialize`: JSON codecs for every domain type.
+* :mod:`nonlocal_lab.serialize`: JSON codecs for the files and reports the
+  command line reads and writes.
 * :mod:`nonlocal_lab.cli`: the ``nonlocal-lab`` command-line surface.
 """
 
@@ -82,6 +83,7 @@ from .protocol import (
     cost_details,
     execute,
     induced_distribution,
+    induced_metrics,
     mixed_cost,
     to_detector_model,
 )

@@ -37,6 +37,8 @@ from .errors import (
 
 
 def _jsonify(obj: Any) -> Any:
+    if type(obj) is int:  # the bulk of a report (per-leaf costs): already JSON
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -339,10 +341,9 @@ def _protocol_from_json(payload: Any) -> protocol.MixedProtocol:
 
 def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
     mixed = _load_json(args.tree, _protocol_from_json)
-    model.check_output_alphabet(
-        (leaf.lhv for tree, _ in mixed.components for leaf in tree.leaves()),
-        ghz.OUTPUTS,
-    )
+    # decoded files share leaf models: check each distinct one once
+    leaf_models = {id(leaf.lhv): leaf.lhv for t, _ in mixed.components for leaf in t.leaves()}
+    model.check_output_alphabet(leaf_models.values(), ghz.OUTPUTS)
     costs = [protocol.cost_details(t) for t, _ in mixed.components]
     c = max(cd.worst_case for cd in costs)
     report: dict[str, Any] = {
@@ -373,9 +374,7 @@ def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.evaluate:
         inst = ghz.GhzInstance(n=mixed.n, k=mixed.k)
         problem = ghz.ghz_problem(inst, budget=args.budget)
-        induced = protocol.induced_distribution(mixed, problem)
-        eff = model.detection_efficiency(induced, problem)
-        eps = model.error_probability(induced, problem)
+        eta_n, eps = protocol.induced_metrics(mixed, problem)
         detector = protocol.to_detector_model(mixed)
         det_metrics = model.mixed_lhv_metrics(detector, problem)
         conversion_ok = (
@@ -383,7 +382,7 @@ def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
         )
         passed = conversion_ok
         report["evaluation"] = {
-            "eta_n": eff.eta_n,
+            "eta_n": eta_n,
             "eps": eps,
             "detector_eta_n": det_metrics.eta_n,
             "detector_eps": det_metrics.eps,

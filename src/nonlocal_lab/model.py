@@ -144,7 +144,7 @@ class DeterministicLhv:
     tables: tuple[tuple[Entry, ...], ...]
 
     def __post_init__(self) -> None:
-        tables = tuple(tuple(t) for t in self.tables)
+        tables = tuple(map(tuple, self.tables))  # keeps tables that are tuples already
         object.__setattr__(self, "tables", tables)
         if not tables:
             raise InvalidInput("at least one party required")
@@ -199,15 +199,17 @@ class MixedLhv:
     components: tuple[tuple[DeterministicLhv, Fraction], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((lhv, Fraction(w)) for lhv, w in self.components)
+        comps = tuple(
+            (lhv, w if type(w) is Fraction else Fraction(w)) for lhv, w in self.components
+        )
         object.__setattr__(self, "components", comps)
         if not comps:
             raise InvalidInput("a mixture needs at least one component")
-        shape = (comps[0][0].n, comps[0][0].k)
+        n, k = comps[0][0].n, comps[0][0].k
         for lhv, w in comps:
-            if (lhv.n, lhv.k) != shape:
+            if len(lhv.tables) != n or len(lhv.tables[0]) != k:
                 raise ArityMismatch("all components must share (n, k)")
-            if w <= 0:
+            if w.numerator <= 0:  # the denominator is positive
                 raise InvalidInput("component weights must be positive")
         if not _sums_to_one([w for _, w in comps]):
             raise InvalidInput("component weights must sum to 1")

@@ -11,11 +11,19 @@ the per-node ``ceil(log2(children))`` charges.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal, Union
 
-from .errors import ArityMismatch, FlavorMismatch, InvalidInput, MalformedTree
+from .errors import (
+    ArityMismatch,
+    DivisionByZeroEfficiency,
+    FlavorMismatch,
+    InvalidInput,
+    MalformedTree,
+)
 from .model import (
     CorrelationProblem,
     DeterministicLhv,
@@ -25,6 +33,7 @@ from .model import (
     Outcome,
     ZERO,
     _sums_to_one,
+    all_click,
 )
 
 Flavor = Literal["shared", "local"]
@@ -86,9 +95,13 @@ class ProtocolTree:
 
     def __post_init__(self) -> None:
         full = frozenset(range(self.k))
+        seen = set()  # ids of checked nodes: decoded trees share subtrees
         stack = [self.root]
         while stack:
             v = stack.pop()
+            if id(v) in seen:
+                continue
+            seen.add(id(v))
             if isinstance(v, Leaf):
                 if (v.lhv.n, v.lhv.k) != (self.n, self.k):
                     raise ArityMismatch("leaf model shape differs from the tree's (n, k)")
@@ -228,6 +241,47 @@ def induced_distribution(m: MixedProtocol, problem: CorrelationProblem) -> Model
     return ModelDistribution(probs=probs)
 
 
+def induced_metrics(m: MixedProtocol, problem: CorrelationProblem) -> tuple[Fraction, Fraction]:
+    """``(eta_n, eps)`` of the distribution the protocol induces, in one pass.
+
+    Each (input, tree) execution adds the tree's weight, as an integer
+    numerator over the lcm of the weights' denominators, to the input's
+    all-click mass and, when the target forbids the outcome, to its wrong
+    mass. Equal to :func:`induced_distribution` followed by
+    ``detection_efficiency`` and ``error_probability``, and independent of
+    :func:`to_detector_model`, so the two routes cross-check the conversion.
+    """
+    if (m.n, m.k) != (problem.n, problem.k):
+        raise ArityMismatch(
+            f"protocol is ({m.n}, {m.k}) but problem is ({problem.n}, {problem.k})"
+        )
+    den = math.lcm(*(w.denominator for _, w in m.components))
+    trees = [(t, w.numerator * (den // w.denominator)) for t, w in m.components]
+    mu = problem.mu
+    support = problem.support
+    mu_den = math.lcm(*(mu[x].denominator for x in support))
+    click_num = 0
+    wrong_num = 0
+    for x in support:
+        target_row = problem.target.get(x, {})
+        clicks = 0
+        wrong = 0
+        for t, w in trees:
+            a = execute(t, x)[1].values
+            if all_click(a):
+                clicks += w
+                if target_row.get(a, ZERO) == 0:
+                    wrong += w
+        wx = mu[x]
+        scale = wx.numerator * (mu_den // wx.denominator)
+        click_num += scale * clicks
+        wrong_num += scale * wrong
+    eta_n = Fraction(click_num, mu_den * den)
+    if eta_n == 0:
+        raise DivisionByZeroEfficiency("no all-click events, error undefined")
+    return eta_n, Fraction(wrong_num, mu_den * den) / eta_n
+
+
 def to_detector_model(m: MixedProtocol) -> MixedLhv:
     """Trade the broadcast conversation for detector efficiency.
 
@@ -239,28 +293,37 @@ def to_detector_model(m: MixedProtocol) -> MixedLhv:
     all-click probability is exactly ``2**-c`` for every input, and
     conditioned on all parties clicking the outcome distribution is exactly
     the one the protocol induces.
+
+    Leaves share tables and trees share weights, so each (table, input set)
+    pair is masked once and each distinct tree weight is scaled once.
     """
     if m.flavor != SHARED:
         raise FlavorMismatch("conversion requires the shared-randomness flavor")
     k = m.k
+
+    @functools.cache
+    def mask(table: tuple, inputs: frozenset[int]) -> tuple:
+        return tuple(table[v] if v in inputs else None for v in range(k))
+
     c = 0
-    components: list[tuple[DeterministicLhv, Fraction]] = []  # tree weights until c is known
-    claimed_mass = ZERO
+    claims: list[tuple[Fraction, list[DeterministicLhv]]] = []  # per tree: weight, leaf models
     for tree, w in m.components:
-        before = len(components)
+        models = []
         for leaf, sets, bits in tree._walk():
             c = max(c, bits)
             if all(sets):
-                tables = tuple(
-                    tuple(leaf.lhv.tables[i][v] if v in sets[i] else None for v in range(k))
-                    for i in range(m.n)
-                )
-                components.append((DeterministicLhv(tables=tables), w))
-        claimed_mass += w * (len(components) - before)
+                models.append(DeterministicLhv(tables=tuple(map(mask, leaf.lhv.tables, sets))))
+        claims.append((w, models))
     guesses = 1 << c
     slot = Fraction(1, guesses)
-    for j, (lhv, w) in enumerate(components):
-        components[j] = (lhv, w * slot)
+    scaled: dict[Fraction, Fraction] = {}
+    components: list[tuple[DeterministicLhv, Fraction]] = []
+    claimed_mass = ZERO
+    for w, models in claims:
+        if w not in scaled:
+            scaled[w] = w * slot
+        components.extend((lhv, scaled[w]) for lhv in models)
+        claimed_mass += w * len(models)
     # the tree weights sum to 1, so this is the mass of the unclaimed transcripts
     silent_weight = slot * (guesses - claimed_mass)
     if silent_weight > 0:

@@ -1,5 +1,6 @@
 """Shared random generators for protocol and model tests, the lattice
-oracle for the rectangle scan and the per-outcome advantage oracle.
+oracle for the rectangle scan, the per-outcome advantage oracle, the
+per-entry reference decoders and the per-component detector conversion.
 
 All randomness is seeded at the call site so every test run is replayable.
 """
@@ -11,6 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from nonlocal_lab import serialize
 from nonlocal_lab.cyclic import indicator, product
 from nonlocal_lab.ghz import GhzInstance
 from nonlocal_lab.errors import EmptyWeight
@@ -68,6 +70,86 @@ def per_outcome_advantages(r: Rectangle, problem: CorrelationProblem) -> dict:
     :func:`per_outcome_advantage`, one support scan per outcome."""
     outcomes = itertools.product(range(problem.l), repeat=problem.n)
     return {a: v for a in outcomes if (v := per_outcome_advantage(r, a, problem))}
+
+
+# -- reference decoders: every entry, table, weight and subtree decoded afresh,
+# the route the interned decoders in ``serialize`` must agree with
+
+
+def reference_lhv_from_json(obj) -> DeterministicLhv:
+    return DeterministicLhv(
+        tables=tuple(tuple(serialize.entry_from_json(v) for v in t) for t in obj["tables"])
+    )
+
+
+def reference_mixed_lhv_from_json(obj) -> MixedLhv:
+    return MixedLhv(
+        components=tuple(
+            (reference_lhv_from_json(c["model"]), serialize.fraction_from_json(c["weight"]))
+            for c in obj["components"]
+        )
+    )
+
+
+def _reference_node_from_json(obj):
+    if "leaf" in obj:
+        return Leaf(lhv=reference_lhv_from_json(obj["leaf"]))
+    node = obj["node"]
+    return Node(
+        party=serialize._int_from_json(node["party"], "party"),
+        edges=tuple(
+            Edge(
+                inputs=frozenset(serialize._int_from_json(v, "edge input") for v in e["inputs"]),
+                child=_reference_node_from_json(e["child"]),
+            )
+            for e in node["edges"]
+        ),
+    )
+
+
+def reference_tree_from_json(obj) -> ProtocolTree:
+    return ProtocolTree(
+        n=serialize._int_from_json(obj["n"], "n"),
+        k=serialize._int_from_json(obj["k"], "k"),
+        root=_reference_node_from_json(obj["root"]),
+    )
+
+
+def reference_mixed_protocol_from_json(obj) -> MixedProtocol:
+    return MixedProtocol(
+        components=tuple(
+            (reference_tree_from_json(c["tree"]), serialize.fraction_from_json(c["weight"]))
+            for c in obj["components"]
+        ),
+        flavor=obj.get("flavor", "shared"),
+    )
+
+
+def reference_detector_model(m: MixedProtocol) -> MixedLhv:
+    """Oracle for ``protocol.to_detector_model``: each reachable leaf masked
+    table by table and each component weight scaled on its own."""
+    k = m.k
+    c = 0
+    components = []  # tree weights until c is known
+    claimed_mass = Fraction(0)
+    for tree, w in m.components:
+        before = len(components)
+        for leaf, sets, bits in tree._walk():
+            c = max(c, bits)
+            if all(sets):
+                tables = tuple(
+                    tuple(leaf.lhv.tables[i][v] if v in sets[i] else None for v in range(k))
+                    for i in range(m.n)
+                )
+                components.append((DeterministicLhv(tables=tables), w))
+        claimed_mass += w * (len(components) - before)
+    slot = Fraction(1, 2**c)
+    components = [(lhv, w * slot) for lhv, w in components]
+    silent_weight = slot * (2**c - claimed_mass)
+    if silent_weight > 0:
+        silent = DeterministicLhv(tables=tuple(tuple(None for _ in range(k)) for _ in range(m.n)))
+        components.append((silent, silent_weight))
+    return MixedLhv(components=tuple(components))
 
 
 def random_click_lhv(rng: random.Random, n: int, k: int, l: int = 2) -> DeterministicLhv:

@@ -687,3 +687,87 @@ def test_protocol_run_rejects_a_malformed_input_vector(tmp_path, capsys):
         assert_bad_input(
             *run_cli(capsys, "protocol-run", "--tree", str(path), "--input", vector)
         )
+
+
+# a table lookalike of a valid one decoded earlier in the same file; the
+# interned decoders must reject it with the per-entry decoder's text
+LOOKALIKE_TABLES = {
+    "true": ([True, 1], "outcome entries must be ints or 'null-click', got True"),
+    "float": ([1.0, 1], "outcome entries must be ints or 'null-click', got 1.0"),
+    "negative": ([-1, 1], "outputs must be None or nonnegative ints"),
+    "short": ([0], "party tables must share one input range"),
+    "string": (["x", 1], "outcome entries must be ints or 'null-click', got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKALIKE_TABLES))
+def test_a_lookalike_table_after_a_valid_one_exits_two(tmp_path, capsys, case):
+    bad, text = LOOKALIKE_TABLES[case]
+    weight = {"num": "1", "den": "3"}
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "components": [
+                    {"model": {"tables": tables}, "weight": weight}
+                    for tables in ([[0, 1], [1, 1]], [[1, 1], [0, 1]], [[0, 1], bad])
+                ]
+            }
+        )
+    )
+    leaf = {"leaf": {"tables": [[0, 1], [1, 1]]}}
+    tree = tmp_path / "tree.json"
+    tree.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "k": 2,
+                "root": {
+                    "node": {
+                        "party": 0,
+                        "edges": [
+                            {"inputs": [0], "child": leaf},
+                            {"inputs": [1], "child": {"leaf": {"tables": [[1, 1], bad]}}},
+                        ],
+                    }
+                },
+            }
+        )
+    )
+    for argv in (
+        ("lhv-eval", "--n", "2", "--k", "2", "--model", str(model)),
+        ("protocol-run", "--tree", str(tree)),
+        ("protocol-run", "--tree", str(tree), "--evaluate"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"InvalidInput: {text}\n")
+
+
+def test_a_lookalike_weight_after_a_valid_one_exits_two(tmp_path, capsys):
+    weights = ({"num": "1", "den": "2"}, {"num": True, "den": "2"})
+    text = "InvalidInput: num and den must be integer strings: {'num': True, 'den': '2'}\n"
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "components": [
+                    {"model": {"tables": tables}, "weight": w}
+                    for tables, w in zip(([[0, 1], [0, 1]], [[1, 0], [0, 1]]), weights)
+                ]
+            }
+        )
+    )
+    assert run_cli(capsys, "lhv-eval", "--n", "2", "--k", "2", "--model", str(model)) == (
+        2,
+        "",
+        text,
+    )
+    tree = {"n": 2, "k": 2, "root": {"leaf": {"tables": [[0, 1], [0, 1]]}}}
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(
+        json.dumps({"components": [{"tree": tree, "weight": w} for w in weights]})
+    )
+    assert run_cli(capsys, "protocol-run", "--tree", str(protocol), "--evaluate") == (
+        2,
+        "",
+        text,
+    )

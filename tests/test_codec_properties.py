@@ -1,5 +1,7 @@
 """Property tests for the JSON codecs: every domain type survives a round trip
-through JSON text, and malformed entries are rejected as bad input.
+through JSON text, malformed entries are rejected as bad input, and the
+interned decoders agree with the per-entry reference decoders on raw
+payloads full of repeats and lookalikes (``true``, ``1`` and ``1.0``).
 
 Needs the optional ``test`` extra (hypothesis); skipped without it.
 """
@@ -14,6 +16,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import (  # noqa: E402
+    reference_mixed_lhv_from_json,
+    reference_mixed_protocol_from_json,
+    reference_tree_from_json,
+)
 from nonlocal_lab import serialize  # noqa: E402
 from nonlocal_lab.errors import InvalidInput  # noqa: E402
 from nonlocal_lab.model import CorrelationProblem, DeterministicLhv, MixedLhv  # noqa: E402
@@ -174,3 +181,121 @@ not_an_entry = st.one_of(
 def test_non_int_entries_are_rejected(v):
     with pytest.raises(InvalidInput):
         serialize.entry_from_json(v)
+
+
+# lookalikes: raw JSON values equal under ``==`` to a valid one, of another
+# type or sign, so a cache keyed on values alone would confuse them
+LOOKALIKES = {0: [False, 0.0, -1], 1: [True, 1.0, "1"], "null-click": [None, "Null-Click"]}
+
+
+@st.composite
+def raw_table_pools(draw, k):
+    """A few valid raw tables that the payload then repeats, sometimes with
+    a lookalike copy of one of them or a table of the wrong length."""
+    valid = st.lists(st.sampled_from([0, 1, "null-click"]), min_size=k, max_size=k)
+    pool = draw(st.lists(valid, min_size=1, max_size=3))
+    twist = draw(st.sampled_from(["none", "none", "lookalike", "short"]))
+    if twist == "lookalike":
+        table = list(draw(st.sampled_from(pool)))
+        i = draw(st.integers(0, k - 1))
+        table[i] = draw(st.sampled_from(LOOKALIKES[table[i]]))
+        pool.append(table)
+    elif twist == "short":
+        pool.append(draw(st.sampled_from(pool))[1:])
+    return pool
+
+
+@st.composite
+def raw_lhvs(draw, n, pool):
+    return {"tables": [draw(st.sampled_from(pool)) for _ in range(n)]}
+
+
+@st.composite
+def raw_weights(draw, count):
+    """``count`` equal weights as in the files the CLI writes, one of them
+    sometimes a lookalike payload."""
+    weights = [{"num": "1", "den": str(count)} for _ in range(count)]
+    i = draw(st.integers(0, count - 1))
+    weights[i] = draw(
+        st.sampled_from(
+            [
+                weights[i],
+                {"num": 1, "den": count},
+                {"num": True, "den": count},
+                {"num": 1.0, "den": count},
+                {"den": str(count), "num": "1"},
+            ]
+        )
+    )
+    return weights
+
+
+@st.composite
+def raw_mixed_lhvs(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = draw(raw_table_pools(k))
+    count = draw(st.integers(1, 6))
+    return {
+        "components": [
+            {"model": draw(raw_lhvs(n, pool)), "weight": w} for w in draw(raw_weights(count))
+        ]
+    }
+
+
+raw_partitions = st.sampled_from(
+    [[[0, 1]], [[0], [1]], [[1], [0]], [[False], [1]], [[0.0], [1]], [[True], [0]], [[0], []]]
+)
+
+
+@st.composite
+def raw_trees(draw):
+    n = draw(st.integers(1, 3))
+    pool = [t for t in draw(raw_table_pools(2)) if None not in t and "null-click" not in t]
+    pool = pool or [[0, 1]]  # leaves click
+
+    def build(depth):
+        if depth == 3 or draw(st.booleans()):
+            return {"leaf": draw(raw_lhvs(n, pool))}
+        party = draw(st.sampled_from([*range(n), *range(n), True, -1, n]))
+        edges = [{"inputs": b, "child": build(depth + 1)} for b in draw(raw_partitions)]
+        return {"node": {"party": party, "edges": edges}}
+
+    return {"n": n, "k": 2, "root": build(0)}
+
+
+@st.composite
+def raw_mixed_protocols(draw):
+    count = draw(st.integers(1, 3))
+    return {
+        "components": [
+            {"tree": draw(raw_trees()), "weight": w} for w in draw(raw_weights(count))
+        ]
+    }
+
+
+def decoded(decode, payload):
+    """The decoded object, or the type and text of the error it raised."""
+    try:
+        return decode(json.loads(json.dumps(payload)))
+    except Exception as exc:  # every error must match, bad input or not
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(raw_mixed_lhvs())
+def test_interned_mixed_lhv_decoder_matches_the_reference(payload):
+    got = decoded(serialize.mixed_lhv_from_json, payload)
+    assert got == decoded(reference_mixed_lhv_from_json, payload)
+
+
+@SETTINGS
+@given(raw_trees())
+def test_interned_tree_decoder_matches_the_reference(payload):
+    assert decoded(serialize.tree_from_json, payload) == decoded(reference_tree_from_json, payload)
+
+
+@SETTINGS
+@given(raw_mixed_protocols())
+def test_interned_mixed_protocol_decoder_matches_the_reference(payload):
+    got = decoded(serialize.mixed_protocol_from_json, payload)
+    assert got == decoded(reference_mixed_protocol_from_json, payload)

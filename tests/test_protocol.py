@@ -2,12 +2,19 @@
 the detector-model conversion round trip."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_click_lhv, random_mixed_protocol, random_partition, random_tree
+from conftest import (
+    random_click_lhv,
+    random_mixed_protocol,
+    random_partition,
+    random_tree,
+    reference_detector_model,
+)
 from nonlocal_lab.errors import ArityMismatch, FlavorMismatch, InvalidInput, MalformedTree
 from nonlocal_lab.ghz import (
     GhzInstance,
@@ -35,10 +42,16 @@ from nonlocal_lab.protocol import (
     cost_details,
     execute,
     induced_distribution,
+    induced_metrics,
     mixed_cost,
     to_detector_model,
 )
-from nonlocal_lab.serialize import tree_from_json
+from nonlocal_lab.serialize import (
+    dumps,
+    mixed_protocol_from_json,
+    mixed_protocol_to_json,
+    tree_from_json,
+)
 
 F = Fraction
 
@@ -401,3 +414,69 @@ def test_conversion_preserves_error_on_ghz():
         assert met.eps == eps
         assert met.eta_n == F(1, 2 ** mixed_cost(mp))
         assert detection_efficiency(induced, problem).eta_n == 1
+
+
+def conversion_cases():
+    """Broadcast, shared-randomness broadcast and random mixtures with
+    non-uniform weights, trees with unreachable branches, and decoded files
+    whose trees share leaves and subtrees."""
+    rng = random.Random(23)
+    cases = []
+    for n, k in ((2, 2), (3, 2), (2, 3), (3, 4)):
+        inst = GhzInstance(n=n, k=k)
+        cases.append(MixedProtocol(components=((broadcast_strategy(inst), F(1)),)))
+        cases.append(broadcast_strategy_mixed(inst))
+    for _ in range(15):
+        n, k = rng.choice([(2, 2), (3, 2), (2, 3), (3, 3)])
+        cases.append(random_mixed_protocol(rng, n, k))
+    by_shape = {}
+    for tree in invariant_trees():
+        by_shape.setdefault((tree.n, tree.k), []).append(tree)
+    for trees in by_shape.values():
+        chosen = trees[-3:]  # the repeated-speaker trees have unreachable leaves
+        raw = [rng.randint(1, 9) for _ in chosen]
+        cases.append(
+            MixedProtocol(components=tuple((t, F(r, sum(raw))) for t, r in zip(chosen, raw)))
+        )
+    cases.append(
+        mixed_protocol_from_json(
+            json.loads(dumps(mixed_protocol_to_json(broadcast_strategy_mixed(GhzInstance(n=4, k=2)))))
+        )
+    )
+    return cases
+
+
+def test_detector_model_matches_the_per_component_conversion():
+    cases = conversion_cases()
+    assert any(len(t.leaf_input_sets()) < len(t.leaves()) for mp in cases for t, _ in mp.components)
+    assert any(len({w for _, w in mp.components}) > 1 for mp in cases)
+    for mp in cases:
+        assert to_detector_model(mp) == reference_detector_model(mp)
+
+
+def test_induced_metrics_match_the_distribution_route():
+    rng = random.Random(29)
+    cases = [(mp, ghz_problem(GhzInstance(n=mp.n, k=mp.k))) for mp in conversion_cases()]
+    cases += [
+        (random_mixed_protocol(rng, n, k), uniform_problem(n, k))
+        for n, k in ((2, 2), (3, 2), (2, 3))
+        for _ in range(3)
+    ]
+    positive = 0
+    for mp, problem in cases:
+        induced = induced_distribution(mp, problem)
+        eta_n, eps = induced_metrics(mp, problem)
+        assert eta_n == detection_efficiency(induced, problem).eta_n == 1
+        assert eps == error_probability(induced, problem)
+        positive += eps > 0
+    assert positive >= 5
+
+
+def test_induced_metrics_refuse_a_shape_mismatch():
+    mp = MixedProtocol(components=((broadcast_strategy(GhzInstance(n=3, k=2)), F(1)),))
+    problem = ghz_problem(GhzInstance(n=4, k=2))
+    with pytest.raises(ArityMismatch) as expected:
+        induced_distribution(mp, problem)
+    with pytest.raises(ArityMismatch) as got:
+        induced_metrics(mp, problem)
+    assert str(got.value) == str(expected.value) == "protocol is (3, 2) but problem is (4, 2)"

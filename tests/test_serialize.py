@@ -1,18 +1,27 @@
-"""JSON round trips and wire conventions for every domain type."""
+"""JSON round trips and wire conventions for the file and report codecs."""
 
 import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_mixed_lhv, random_mixed_protocol, random_tree
+from conftest import (
+    random_mixed_lhv,
+    random_mixed_protocol,
+    random_tree,
+    reference_lhv_from_json,
+    reference_mixed_lhv_from_json,
+    reference_mixed_protocol_from_json,
+    reference_tree_from_json,
+)
 from nonlocal_lab import serialize
-from nonlocal_lab.cyclic import MultisetZ, Subgroup
+from nonlocal_lab.cyclic import Subgroup
 from nonlocal_lab.errors import InvalidInput
-from nonlocal_lab.ghz import GhzInstance, ghz_problem
+from nonlocal_lab.ghz import GhzInstance, broadcast_strategy, broadcast_strategy_mixed, ghz_problem
 from nonlocal_lab.model import DeterministicLhv, Outcome
-from nonlocal_lab.rectangles import Rectangle
+from nonlocal_lab.protocol import MixedProtocol, to_detector_model
 
 F = Fraction
 
@@ -31,7 +40,7 @@ def test_null_click_literal():
     out = Outcome(values=(0, None, 1))
     payload = serialize.outcome_to_json(out)
     assert payload == [0, "null-click", 1]
-    assert serialize.outcome_from_json(payload) == out
+    assert [serialize.entry_from_json(v) for v in payload] == list(out)
     with pytest.raises(InvalidInput):
         serialize.entry_from_json("missing")
 
@@ -54,20 +63,6 @@ def test_problem_round_trip():
     assert back.mu == dict(problem.mu)
     assert {x: dict(row) for x, row in back.target.items()} == {
         x: dict(row) for x, row in problem.target.items()
-    }
-
-
-def test_distribution_round_trip():
-    from nonlocal_lab.model import evaluate_mixed_lhv
-
-    rng = random.Random(8)
-    problem = ghz_problem(GhzInstance(n=3, k=2))
-    d = evaluate_mixed_lhv(random_mixed_lhv(rng, 3, 2, detector=True), problem)
-    back = serialize.distribution_from_json(
-        json.loads(serialize.dumps(serialize.distribution_to_json(d)))
-    )
-    assert {x: dict(r) for x, r in back.probs.items()} == {
-        x: dict(r) for x, r in d.probs.items()
     }
 
 
@@ -95,13 +90,9 @@ def test_mixed_protocol_round_trip():
     assert back.flavor == "shared"
 
 
-def test_rectangle_multiset_subgroup_round_trips():
-    r = Rectangle(k=4, sets=(frozenset({0, 2}), frozenset({1})))
-    assert serialize.rectangle_from_json(serialize.rectangle_to_json(r)) == r
-    m = MultisetZ(modulus=4, mult=(1, 0, 2**80, 3))
-    assert serialize.multiset_from_json(serialize.multiset_to_json(m)) == m
+def test_subgroup_wire_format():
     h = Subgroup(modulus=8, generator=4)
-    assert serialize.subgroup_from_json(serialize.subgroup_to_json(h)) == h
+    assert serialize.subgroup_to_json(h) == {"modulus": 8, "generator": 4}
 
 
 def test_number_to_json_infinity():
@@ -138,3 +129,133 @@ def test_booleans_are_not_ints():
         cell[path[-1]] = value
         with pytest.raises(InvalidInput):
             serialize.tree_from_json(bad)
+
+
+def protocol_eval_files():
+    """The benchmark's protocol-eval mix, each as (protocol payload, detector
+    model payload): full broadcasts, shared-randomness broadcasts and random
+    mixtures."""
+    rng = random.Random(31)
+    protocols = [
+        MixedProtocol(components=((broadcast_strategy(GhzInstance(n=n, k=k)), F(1)),))
+        for n, k in ((5, 2), (6, 2), (4, 4), (5, 4))
+    ]
+    protocols += [broadcast_strategy_mixed(GhzInstance(n=n, k=k)) for n, k in ((5, 2), (6, 2), (4, 4))]
+    protocols += [random_mixed_protocol(rng, n, 2) for n in (3, 3, 4, 4)]
+    for mp in protocols:
+        if len(mp.components) == 1:
+            payload = serialize.tree_to_json(mp.components[0][0])
+        else:
+            payload = serialize.mixed_protocol_to_json(mp)
+        model = serialize.mixed_lhv_to_json(to_detector_model(mp))
+        yield json.loads(serialize.dumps(payload)), json.loads(serialize.dumps(model))
+
+
+def distinct_count(objects) -> tuple[int, int]:
+    objects = list(objects)
+    return len({id(o) for o in objects}), len(set(objects))
+
+
+def test_interned_decoders_match_the_reference_on_the_protocol_eval_files():
+    for protocol_payload, model_payload in protocol_eval_files():
+        if "components" in protocol_payload:
+            mp = serialize.mixed_protocol_from_json(protocol_payload)
+            assert mp == reference_mixed_protocol_from_json(protocol_payload)
+            trees = [t for t, _ in mp.components]
+        else:
+            tree = serialize.tree_from_json(protocol_payload)
+            assert tree == reference_tree_from_json(protocol_payload)
+            trees = [tree]
+        leaves = [leaf for t in trees for leaf in t.leaves()]
+        # one object per distinct leaf model and per distinct party table
+        assert operator.eq(*distinct_count(leaf.lhv for leaf in leaves))
+        assert operator.eq(*distinct_count(t for leaf in leaves for t in leaf.lhv.tables))
+        m = serialize.mixed_lhv_from_json(model_payload)
+        assert m == reference_mixed_lhv_from_json(model_payload)
+        assert operator.eq(*distinct_count(t for lhv, _ in m.components for t in lhv.tables))
+        assert operator.eq(*distinct_count(w for _, w in m.components))
+
+
+def test_one_argument_decoders_share_nothing_between_calls():
+    payload = {"tables": [[0, 1], [0, 1]]}
+    first, second = serialize.lhv_from_json(payload), serialize.lhv_from_json(payload)
+    assert first == second == reference_lhv_from_json(payload)
+    assert first is not second
+
+
+# a valid [0, 1] and [1, 1] come first, so a cache keyed on values alone
+# would take [true, 1] or [1.0, 1] for [1, 1]
+BAD_TABLES = {
+    "true": ([True, 1], "outcome entries must be ints or 'null-click', got True"),
+    "float": ([1.0, 1], "outcome entries must be ints or 'null-click', got 1.0"),
+    "negative": ([-1, 1], "outputs must be None or nonnegative ints"),
+    "short": ([0], "party tables must share one input range"),
+    "string": (["x", 1], "outcome entries must be ints or 'null-click', got 'x'"),
+}
+
+
+def model_with(tables_list, weights=None):
+    weights = weights or [{"num": "1", "den": str(len(tables_list))}] * len(tables_list)
+    return {
+        "components": [
+            {"model": {"tables": t}, "weight": w} for t, w in zip(tables_list, weights)
+        ]
+    }
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_a_malformed_table_after_its_valid_lookalike_is_rejected(case):
+    bad, text = BAD_TABLES[case]
+    good = [[[0, 1], [1, 1]], [[1, 1], [0, 1]]]
+    for position in range(3):  # the bad table after every valid one, and between them
+        tables = [list(t) for t in good]
+        tables.insert(position, [[0, 1], bad])
+        payload = json.loads(json.dumps(model_with(tables)))
+        for decode in (serialize.mixed_lhv_from_json, reference_mixed_lhv_from_json):
+            with pytest.raises(InvalidInput) as info:
+                decode(payload)
+            assert str(info.value) == text
+    leaf = {"leaf": {"tables": [[0, 1], [1, 1]]}}
+    bad_leaf = {"leaf": {"tables": [[0, 1], bad]}}
+    tree = {
+        "n": 2,
+        "k": 2,
+        "root": {
+            "node": {
+                "party": 0,
+                "edges": [{"inputs": [0], "child": leaf}, {"inputs": [1], "child": bad_leaf}],
+            }
+        },
+    }
+    for decode in (serialize.tree_from_json, reference_tree_from_json):
+        with pytest.raises(InvalidInput) as info:
+            decode(json.loads(json.dumps(tree)))
+        assert str(info.value) == text
+
+
+@pytest.mark.parametrize(
+    "good,bad",
+    [
+        ({"num": "1", "den": "2"}, {"num": True, "den": "2"}),
+        ({"num": 1, "den": 2}, {"num": True, "den": 2}),
+        ({"num": 1, "den": 2}, {"num": 1.0, "den": 2}),
+    ],
+)
+def test_a_malformed_weight_after_its_valid_lookalike_is_rejected(good, bad):
+    payload = model_with([[[0, 1], [0, 1]], [[1, 0], [0, 1]]], [good, bad])
+    protocol = {
+        "components": [
+            {"tree": {"n": 1, "k": 1, "root": {"leaf": {"tables": [[0]]}}}, "weight": w}
+            for w in (good, bad)
+        ]
+    }
+    text = f"num and den must be integer strings: {bad!r}"
+    for decode, obj in (
+        (serialize.mixed_lhv_from_json, payload),
+        (reference_mixed_lhv_from_json, payload),
+        (serialize.mixed_protocol_from_json, protocol),
+        (reference_mixed_protocol_from_json, protocol),
+    ):
+        with pytest.raises(InvalidInput) as info:
+            decode(obj)
+        assert str(info.value) == text
