@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityMismatch, DivisionByZeroEfficiency, InvalidInput
@@ -59,6 +60,23 @@ class Outcome:
         return all_click(self.values)
 
 
+def _is_outcome(a: object, n: int, l: int) -> bool:
+    """Whether ``a`` is a tuple of ``n`` entries, each ``None`` or an int in
+    ``{0..l-1}``."""
+    return (
+        type(a) is tuple
+        and len(a) == n
+        and all(v is None or (type(v) is int and 0 <= v < l) for v in a)
+    )
+
+
+def _is_exact_row(row: Mapping[OutcomeVector, Prob]) -> bool:
+    """Whether every entry of a target row is a ``Fraction``. Such a row is
+    summed and scored exactly; a row holding any other number (a float for
+    an irrational target) is summed within ``REAL_TOLERANCE``."""
+    return all(isinstance(p, Fraction) for p in row.values())
+
+
 @dataclass(frozen=True)
 class CorrelationProblem:
     """A target joint conditional distribution plus an input distribution.
@@ -95,9 +113,14 @@ class CorrelationProblem:
             if id(row) in summed:
                 continue
             summed.add(id(row))
-            exact = all(isinstance(p, Fraction) for p in row.values())
+            for a in row:
+                if not _is_outcome(a, self.n, self.l):
+                    raise InvalidInput(
+                        f"target outcome {a!r} at {x} is not a length-{self.n} "
+                        f"vector of None and {{0..{self.l - 1}}}"
+                    )
             s = sum(row.values())
-            if exact:
+            if _is_exact_row(row):
                 if s != 1:
                     raise InvalidInput(f"target at {x} sums to {s}, expected 1")
             elif abs(s - 1.0) > REAL_TOLERANCE:
@@ -169,7 +192,7 @@ class DeterministicLhv:
         return all(v is not None for t in self.tables for v in t)
 
     def outputs(self, x: InputVector) -> OutcomeVector:
-        return tuple(t[v] for t, v in zip(self.tables, x))
+        return tuple(map(getitem, self.tables, x))
 
     def clicks_on(self, x: InputVector) -> bool:
         return all(t[v] is not None for t, v in zip(self.tables, x))
@@ -178,11 +201,14 @@ class DeterministicLhv:
 def check_output_alphabet(lhvs: Iterable[DeterministicLhv], l: int) -> None:
     """Raise ``InvalidInput`` unless every table entry is silent or lies in
     ``{0..l-1}``. One pass over the tables, not over (input, model) pairs."""
-    for lhv in lhvs:
-        for t in lhv.tables:
-            for v in t:
-                if v is not None and v >= l:
-                    raise InvalidInput(f"output {v} outside {{0..{l - 1}}}")
+    _check_tables((t for lhv in lhvs for t in lhv.tables), l)
+
+
+def _check_tables(tables: Iterable[tuple[Entry, ...]], l: int) -> None:
+    for t in tables:
+        for v in t:
+            if v is not None and v >= l:
+                raise InvalidInput(f"output {v} outside {{0..{l - 1}}}")
 
 
 def _sums_to_one(weights: list[Fraction]) -> bool:
@@ -359,28 +385,34 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
 
     (``a`` ranges over click outcomes). ``eps_var`` compares the target with
     the unconditioned click mass, so it is not bounded by 2 when eta_n < 1.
-    Agrees exactly with ``evaluate_mixed_lhv`` plus the separate metric
-    functions for rational targets.
+    All three sums are exact, in integer numerators: a target row of
+    ``Fraction`` entries is scaled once to one denominator, and the figure
+    is one ``Fraction`` built at the end. A row holding a float (an
+    irrational target) is summed in floating point and makes ``eps_var`` a
+    float. Agrees exactly with ``evaluate_mixed_lhv`` plus the separate
+    metric functions for rational targets, and within rounding otherwise.
     """
     if (m.n, m.k) != (problem.n, problem.k):
         raise ArityMismatch(
             f"model is ({m.n}, {m.k}) but problem is ({problem.n}, {problem.k})"
         )
-    check_output_alphabet((lhv for lhv, _ in m.components), problem.l)
+    # each distinct party table is checked and turned into its click set
+    # once, each distinct weight object scaled once
+    tables = dict.fromkeys(itertools.chain.from_iterable([lhv.tables for lhv, _ in m.components]))
+    _check_tables(tables, problem.l)
+    click_set = {t: tuple(v for v, e in enumerate(t) if e is not None) for t in tables}
     mu = problem.mu
     support = problem.support
     # click masses are integer numerators over the lcm of the component
     # weights' denominators, input weights over the lcm of theirs
-    den = math.lcm(*(w.denominator for _, w in m.components))
+    weights = {id(w): w for _, w in m.components}
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    scaled_weight = {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
     mu_den = math.lcm(*(mu[x].denominator for x in support))
-    click_sets: dict[tuple[Entry, ...], tuple[int, ...]] = {}  # per distinct table
     groups: dict[tuple[tuple[int, ...], ...], list[tuple[DeterministicLhv, int]]] = {}
     for lhv, w in m.components:
-        for t in lhv.tables:
-            if t not in click_sets:
-                click_sets[t] = tuple(v for v, e in enumerate(t) if e is not None)
-        rect = tuple(map(click_sets.__getitem__, lhv.tables))
-        groups.setdefault(rect, []).append((lhv, w.numerator * (den // w.denominator)))
+        rect = tuple(map(click_set.__getitem__, lhv.tables))
+        groups.setdefault(rect, []).append((lhv, scaled_weight[id(w)]))
     click_rows: dict[InputVector, dict[OutcomeVector, int]] = {}
     for rect, comps in groups.items():
         # an empty click set makes the product empty: nothing to visit
@@ -395,43 +427,77 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
                 row[a] = row.get(a, 0) + w
     # eps_var * eta_n = sum_x mu(x) sum_a |target(a|x)| plus, over the clicked
     # (x, a), mu(x) (|target(a|x) - P(a, all-click|x)| - |target(a|x)|); the
-    # first sum is taken once per distinct target row object
-    rows: dict[int, Mapping[OutcomeVector, Prob]] = {}
-    row_weight: dict[int, int] = {}
+    # first sum is taken once per distinct target row object. An exact row
+    # is scaled once to integer numerators over tden, the lcm of its click
+    # entries' denominators, and multiplied by den, so each clicked term is
+    # the int |t - num*tden| - |t| over den*tden; any other row keeps the
+    # generic sum
+    # id -> [row, scaled click row (None unless exact), tden, weight, deviation]
+    rows: dict[int, list] = {}
     click_num = 0
     wrong_num = 0
-    var_clicked: Prob = ZERO
+    var_other: Prob = ZERO  # the generic sum, over the rows that are not exact
     for x in support:
         wx = mu[x]
         w = wx.numerator * (mu_den // wx.denominator)
         target_row = problem.target[x]
-        rows[id(target_row)] = target_row
-        row_weight[id(target_row)] = row_weight.get(id(target_row), 0) + w
+        entry = rows.get(id(target_row))
+        if entry is None:
+            entry = rows[id(target_row)] = [target_row, None, 1, 0, 0]
+            if _is_exact_row(target_row):
+                clicked = [(a, p) for a, p in target_row.items() if all_click(a)]
+                tden = entry[2] = math.lcm(*(p.denominator for _, p in clicked))
+                entry[1] = {a: p.numerator * (tden // p.denominator) * den for a, p in clicked}
+        entry[3] += w
         click_row = click_rows.get(x)
         if not click_row:
             continue
         clicks = 0
         wrong = 0
-        dev: Prob = ZERO
-        for a, num in click_row.items():
-            t = target_row.get(a, ZERO)
-            clicks += num
-            if t == 0:
-                wrong += num
-            dev += abs(t - Fraction(num, den)) - abs(t)
+        scaled = entry[1]
+        if scaled is not None:
+            tden = entry[2]
+            dev = 0
+            for a, num in click_row.items():
+                t = scaled.get(a, 0)
+                clicks += num
+                if not t:
+                    wrong += num
+                dev += abs(t - num * tden) - abs(t)
+            entry[4] += w * dev
+        else:
+            dev_other: Prob = ZERO
+            for a, num in click_row.items():
+                t = target_row.get(a, ZERO)
+                clicks += num
+                if t == 0:
+                    wrong += num
+                dev_other += abs(t - Fraction(num, den)) - abs(t)
+            var_other += wx * dev_other
         click_num += w * clicks
         wrong_num += w * wrong
-        var_clicked += wx * dev
-    eta_n = Fraction(click_num, mu_den * den)
-    var = var_clicked
-    for key, row in rows.items():
-        mass = sum(abs(p) for a, p in row.items() if all_click(a))
-        var += mass * Fraction(row_weight[key], mu_den)
-    if eta_n == 0:
+    if click_num == 0:
         raise DivisionByZeroEfficiency("no all-click events, metrics undefined")
+    eta_n = Fraction(click_num, mu_den * den)
+    # each exact row's share is an int over mu_den * den * tden; over the lcm
+    # of the tdens they add up to one numerator, and dividing by eta_n
+    # cancels mu_den * den
+    tlcm = math.lcm(*(tden for _, _, tden, _, _ in rows.values()))
+    var_num = 0
+    generic = False
+    for row, scaled, tden, weight, dev in rows.values():
+        if scaled is not None:
+            var_num += (weight * sum(map(abs, scaled.values())) + dev) * (tlcm // tden)
+        else:
+            generic = True
+            mass = sum(abs(p) for a, p in row.items() if all_click(a))
+            var_other += mass * Fraction(weight, mu_den)
+    eps_var: Prob = Fraction(var_num, tlcm * click_num)
+    if generic:
+        eps_var += var_other / eta_n
     return ModelMetrics(
         eta_n=eta_n,
         eta=float(eta_n) ** (1.0 / problem.n),
         eps=Fraction(wrong_num, mu_den * den) / eta_n,
-        eps_var=var / eta_n,
+        eps_var=eps_var,
     )

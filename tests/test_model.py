@@ -3,6 +3,7 @@ derived figure."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,25 @@ def test_problem_validation_mixes_exact_and_float_rows():
         CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**target, (0, 1): off, (1, 1): off})
 
 
+def test_problem_validation_rejects_malformed_target_outcomes():
+    mu = {(0, 0): F(1, 2), (0, 1): F(1, 2)}
+    good = {(0, 0): F(1, 2), (1, None): F(1, 2)}
+    for bad in ((1,), (0, 1, 0), (0, 2), (0, -1), (True, 0), (1.0, 0), (0, "1"), 1):
+        row = {(0, 0): F(1, 2), bad: F(1, 2)}
+        # the row is shared, so the first input using it is the one named
+        with pytest.raises(
+            InvalidInput,
+            match=rf"^target outcome {re.escape(repr(bad))} at \(0, 0\) is not a "
+            r"length-2 vector of None and \{0\.\.1\}$",
+        ):
+            CorrelationProblem(n=2, k=2, l=2, mu=mu, target={(0, 0): row, (0, 1): row})
+        with pytest.raises(InvalidInput, match=r"at \(0, 1\) is not"):
+            CorrelationProblem(n=2, k=2, l=2, mu=mu, target={(0, 0): good, (0, 1): row})
+    # silent entries and every output in {0..l-1} are outcomes
+    row = {(2, None): F(1, 3), (None, None): F(1, 3), (0, 1): F(1, 3)}
+    CorrelationProblem(n=2, k=2, l=3, mu=mu, target={(0, 0): row, (0, 1): row})
+
+
 def test_metrics_reject_outputs_outside_the_alphabet():
     # l = 2, so the table entry 7 lies outside the output alphabet
     problem = ghz_problem(GhzInstance(n=3, k=2))
@@ -439,6 +459,74 @@ def test_grouped_metrics_with_a_float_target():
     assert checked > 20
 
 
+# --- the integer eps_var pass against the ModelDistribution route ----------
+
+
+def hand_built_problem(float_row=False):
+    """n=2, k=3, l=2: rows over the coprime denominators 3, 5 and 7, one row
+    shared by two inputs, silent outcomes that carry target mass, input
+    weights over 3, 6 and 4, and listed inputs of zero weight. With
+    ``float_row`` the row over 5 holds floats instead."""
+    mu = {
+        (0, 0): F(1, 3), (1, 0): F(1, 6), (0, 1): F(1, 4), (1, 2): F(1, 4),
+        (2, 2): F(0), (2, 0): F(0),
+    }
+    thirds = {(0, 0): F(1, 3), (1, 1): F(2, 3)}
+    fifths = {(0, 1): F(2, 5), (1, 0): F(1, 5), (0, None): F(2, 5)}
+    if float_row:
+        fifths = {a: float(p) for a, p in fifths.items()}
+    sevenths = {(0, 0): F(1, 7), (1, 0): F(4, 7), (None, None): F(2, 7)}
+    target = {
+        (0, 0): thirds, (1, 0): thirds, (0, 1): fifths, (1, 2): sevenths,
+        (2, 2): {(1, 1): F(1)}, (2, 0): thirds,
+    }
+    return CorrelationProblem(n=2, k=3, l=2, mu=mu, target=target)
+
+
+#: component weights over the coprime denominators 3, 5, 7 and 105
+COPRIME_WEIGHTS = (F(1, 3), F(1, 5), F(1, 7), F(34, 105))
+
+
+def coprime_mixture(rng, n, k):
+    lhvs = [
+        DeterministicLhv(
+            tables=tuple(tuple(rng.choice((None, 0, 1)) for _ in range(k)) for _ in range(n))
+        )
+        for _ in COPRIME_WEIGHTS
+    ]
+    return MixedLhv(components=tuple(zip(lhvs, COPRIME_WEIGHTS)))
+
+
+def test_integer_pass_matches_oracle_on_a_hand_built_problem():
+    rng = random.Random(47)
+    problem = hand_built_problem()
+    assert len(problem.support) < len(problem.mu)  # listed zero-weight inputs
+    checked = 0
+    for _ in range(150):
+        m = coprime_mixture(rng, 2, 3)
+        if assert_metrics_match(m, problem):
+            checked += 1
+            assert type(mixed_lhv_metrics(m, problem).eps_var) is Fraction
+    assert checked > 75
+    # one model that clicks only on (0, 1), whose row carries silent mass
+    point = DeterministicLhv(tables=((0, None, None), (None, 1, None)))
+    assert assert_metrics_match(MixedLhv(components=((point, F(1)),)), problem)
+
+
+def test_integer_pass_with_exact_and_float_rows():
+    rng = random.Random(53)
+    problem = hand_built_problem(float_row=True)
+    checked = 0
+    for _ in range(150):
+        m = coprime_mixture(rng, 2, 3)
+        if assert_metrics_match(m, problem, tol=1e-12):
+            checked += 1
+            met = mixed_lhv_metrics(m, problem)
+            assert type(met.eta_n) is Fraction and type(met.eps) is Fraction
+            assert type(met.eps_var) is float  # the float row makes the sum a float
+    assert checked > 75
+
+
 def test_converted_broadcast_metrics_pinned():
     from nonlocal_lab.ghz import broadcast_strategy, broadcast_strategy_mixed
     from nonlocal_lab.protocol import MixedProtocol, to_detector_model
@@ -455,3 +543,11 @@ def test_converted_broadcast_metrics_pinned():
     met = mixed_lhv_metrics(detector, problem)
     assert (met.eta_n, met.eps, met.eps_var) == (F(1, 256), 0, 255)
     assert assert_metrics_match(detector, problem)
+
+    # the shared-randomness mixtures at k=2 (512 and 2,048 components)
+    for n, eps_var in ((5, 31), (6, 63)):
+        inst = GhzInstance(n=n, k=2)
+        detector = to_detector_model(broadcast_strategy_mixed(inst))
+        met = mixed_lhv_metrics(detector, ghz_problem(inst))
+        assert (met.eta_n, met.eps, met.eps_var) == (F(1, 2**n), 0, eps_var)
+        assert type(met.eps_var) is Fraction

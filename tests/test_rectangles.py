@@ -108,11 +108,11 @@ def test_advantages_match_the_per_outcome_oracle(n, k):
 def test_advantages_on_a_hand_built_problem():
     # non-uniform weights, a listed zero-weight input whose row admits an
     # outcome no supported row does, an explicit 0 entry, a silent outcome
-    # and an outcome of the wrong length with positive mass, and a float row
+    # with positive mass, and a float row
     mu = {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 2): F(1, 6), (2, 2): F(0)}
     target = {
         (0, 0): {(0, 0): F(1, 2), (0, 1): F(0), (1, 0): F(1, 2)},
-        (0, 1): {(0, 1): F(1, 4), (0, None): F(1, 2), (1,): F(1, 4)},
+        (0, 1): {(0, 1): F(1, 4), (0, None): F(1, 2), (1, 1): F(1, 4)},
         (1, 2): {(0, 0): 0.25, (1, 0): 0.75},
         (2, 2): {(1, 1): F(1)},
     }
@@ -123,7 +123,9 @@ def test_advantages_on_a_hand_built_problem():
             for a in itertools.product(range(2), repeat=2):
                 assert advantage(r, a, problem) == per_outcome_advantage(r, a, problem)
     whole = Rectangle(k=3, sets=(frozenset({0, 1, 2}),) * 2)
-    assert advantages(whole, problem) == {(0, 0): F(2, 3), (1, 0): F(2, 3), (0, 1): F(1, 3)}
+    assert advantages(whole, problem) == {
+        (0, 0): F(2, 3), (1, 0): F(2, 3), (0, 1): F(1, 3), (1, 1): F(1, 3)
+    }
 
 
 def test_bias_examples():
