@@ -46,7 +46,6 @@ from .model import (
     MixedLhv,
     ModelDistribution,
     ModelMetrics,
-    Outcome,
     all_click,
     check_output_alphabet,
     detection_efficiency,

@@ -7,9 +7,10 @@ Conventions used throughout the package:
 * inputs are tuples ``x`` with entries in ``{0..k-1}``, one entry per party;
 * outcomes are tuples ``a`` with entries in ``{0..l-1}`` or ``None``, where
   ``None`` stands for a detector that produced no output (no click);
-* every probability that comes from a classical model is an exact
-  ``fractions.Fraction``; floating point appears only for quantities that are
-  irrational by nature (such as the per-party efficiency eta).
+* target probabilities and every probability that comes from a classical
+  model are exact (``fractions.Fraction`` or ``int``), so every figure is
+  exact; floating point appears only for quantities that are irrational by
+  nature (such as the per-party efficiency eta).
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ArityMismatch, DivisionByZeroEfficiency, InvalidInput
-
-#: tolerance for real-valued (non-rational) probability checks
-REAL_TOLERANCE = 1e-12
 
 Entry = Optional[int]
 InputVector = tuple[int, ...]
 OutcomeVector = tuple[Entry, ...]
-Prob = Union[Fraction, float]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,26 +35,6 @@ ONE = Fraction(1)
 def all_click(values: Iterable[Entry]) -> bool:
     """True when no entry of an outcome vector is a missing click."""
     return all(v is not None for v in values)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Joint outcome vector; ``None`` entries mark detectors that stayed silent."""
-
-    values: OutcomeVector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def all_click(self) -> bool:
-        return all_click(self.values)
 
 
 def _is_outcome(a: object, n: int, l: int) -> bool:
@@ -70,11 +47,11 @@ def _is_outcome(a: object, n: int, l: int) -> bool:
     )
 
 
-def _is_exact_row(row: Mapping[OutcomeVector, Prob]) -> bool:
-    """Whether every entry of a target row is a ``Fraction``. Such a row is
-    summed and scored exactly; a row holding any other number (a float for
-    an irrational target) is summed within ``REAL_TOLERANCE``."""
-    return all(isinstance(p, Fraction) for p in row.values())
+def _is_probability(p: object) -> bool:
+    """Whether ``p`` is an exact probability entry: a nonnegative ``Fraction``
+    or ``int`` (``bool`` subclasses ``int`` and is refused)."""
+    exact = isinstance(p, Fraction) or (isinstance(p, int) and type(p) is not bool)
+    return exact and p.numerator >= 0  # a Fraction's denominator is positive
 
 
 @dataclass(frozen=True)
@@ -84,14 +61,16 @@ class CorrelationProblem:
     ``mu`` is stored sparsely on its support; ``target`` is stored sparsely as
     ``x -> {outcome: probability}`` and missing outcomes carry probability 0.
     Outcomes with missing clicks conventionally carry target probability 0
-    (the target describes an ideal, always-clicking scenario).
+    (the target describes an ideal, always-clicking scenario). Every target
+    entry is a nonnegative ``Fraction`` or ``int``, and every row, of a
+    supported input or not, sums to exactly 1.
     """
 
     n: int
     k: int
     l: int
     mu: Mapping[InputVector, Fraction]
-    target: Mapping[InputVector, Mapping[OutcomeVector, Prob]]
+    target: Mapping[InputVector, Mapping[OutcomeVector, Fraction]]
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1 or self.l < 1:
@@ -105,26 +84,29 @@ class CorrelationProblem:
             total += w
         if total != 1:
             raise InvalidInput(f"input weights sum to {total}, expected 1")
-        summed = set()  # ids of the row objects already summed (rows are often shared)
-        for x in self.support:
+        # each row object is checked once (rows are often shared), at the
+        # first input naming it: supported inputs first, then every other row
+        checked = set()
+        for x in itertools.chain(self.support, self.target):
             row = self.target.get(x)
             if row is None:
                 raise InvalidInput(f"no target distribution for supported input {x}")
-            if id(row) in summed:
+            if id(row) in checked:
                 continue
-            summed.add(id(row))
-            for a in row:
+            checked.add(id(row))
+            for a, p in row.items():
                 if not _is_outcome(a, self.n, self.l):
                     raise InvalidInput(
                         f"target outcome {a!r} at {x} is not a length-{self.n} "
                         f"vector of None and {{0..{self.l - 1}}}"
                     )
-            s = sum(row.values())
-            if _is_exact_row(row):
-                if s != 1:
-                    raise InvalidInput(f"target at {x} sums to {s}, expected 1")
-            elif abs(s - 1.0) > REAL_TOLERANCE:
-                raise InvalidInput(f"target at {x} sums to {s}, expected 1")
+                if not _is_probability(p):
+                    raise InvalidInput(
+                        f"target entry {p!r} for {a!r} at {x} is not a nonnegative "
+                        "Fraction or int"
+                    )
+            if not _sums_to_one(list(row.values())):
+                raise InvalidInput(f"target at {x} sums to {sum(row.values())}, expected 1")
 
     @property
     def support(self) -> tuple[InputVector, ...]:
@@ -134,7 +116,7 @@ class CorrelationProblem:
     def mu_weight(self, x: InputVector) -> Fraction:
         return self.mu.get(x, ZERO)
 
-    def target_prob(self, x: InputVector, a: OutcomeVector) -> Prob:
+    def target_prob(self, x: InputVector, a: OutcomeVector) -> Fraction:
         return self.target.get(x, {}).get(a, ZERO)
 
     def is_forbidden(self, x: InputVector, a: OutcomeVector) -> bool:
@@ -290,7 +272,7 @@ class ModelMetrics(NamedTuple):
     eta_n: Fraction
     eta: float
     eps: Fraction
-    eps_var: Prob
+    eps_var: Fraction
 
 
 def evaluate_mixed_lhv(m: MixedLhv, problem: CorrelationProblem) -> ModelDistribution:
@@ -345,20 +327,19 @@ def error_probability(d: ModelDistribution, problem: CorrelationProblem) -> Frac
     return acc / eta_n
 
 
-def total_variation_error(d: ModelDistribution, problem: CorrelationProblem) -> Prob:
+def total_variation_error(d: ModelDistribution, problem: CorrelationProblem) -> Fraction:
     """L1 distance between the target and the model's click mass, over eta_n:
 
         sum_x mu(x) sum_a |target(a|x) - P(a, all-click | x)| / eta_n
 
     with ``a`` ranging over click outcomes. The model term is not conditioned
     on clicking, so the figure is not bounded by 2 when eta_n < 1 (it is 1023
-    for the converted n=5, k=4 full broadcast). Exact when the target is
-    rational; float otherwise.
+    for the converted n=5, k=4 full broadcast). Exact, as the target is.
     """
     eta_n = _eta_n(d, problem)
     if eta_n == 0:
         raise DivisionByZeroEfficiency("no all-click events, deviation undefined")
-    acc: Prob = ZERO
+    acc = ZERO
     for x in problem.support:
         w = problem.mu_weight(x)
         model_row = d.click_row(x)
@@ -375,22 +356,10 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
 
     A deterministic model clicks exactly on the rectangle of its per-party
     click sets, so components are grouped by that rectangle and each group
-    adds its weights only on the supported inputs inside it; a silent or
-    unsupported rectangle costs nothing. One pass over the support then turns
-    each input's click row and target row into the figures, with
-
-        eta_n   = sum_x mu(x) P(all-click | x)
-        eps     = sum_x mu(x) sum_{a forbidden} P(a, all-click | x) / eta_n
-        eps_var = sum_x mu(x) sum_a |target(a|x) - P(a, all-click | x)| / eta_n
-
-    (``a`` ranges over click outcomes). ``eps_var`` compares the target with
-    the unconditioned click mass, so it is not bounded by 2 when eta_n < 1.
-    All three sums are exact, in integer numerators: a target row of
-    ``Fraction`` entries is scaled once to one denominator, and the figure
-    is one ``Fraction`` built at the end. A row holding a float (an
-    irrational target) is summed in floating point and makes ``eps_var`` a
-    float. Agrees exactly with ``evaluate_mixed_lhv`` plus the separate
-    metric functions for rational targets, and within rounding otherwise.
+    adds its weights, as integer numerators over one denominator, only on
+    the supported inputs inside it; a silent or unsupported rectangle costs
+    nothing. The click rows are then scored by :func:`_score`. Agrees exactly
+    with ``evaluate_mixed_lhv`` plus the separate metric functions.
     """
     if (m.n, m.k) != (problem.n, problem.k):
         raise ArityMismatch(
@@ -404,11 +373,10 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
     mu = problem.mu
     support = problem.support
     # click masses are integer numerators over the lcm of the component
-    # weights' denominators, input weights over the lcm of theirs
+    # weights' denominators
     weights = {id(w): w for _, w in m.components}
     den = math.lcm(*(w.denominator for w in weights.values()))
     scaled_weight = {key: w.numerator * (den // w.denominator) for key, w in weights.items()}
-    mu_den = math.lcm(*(mu[x].denominator for x in support))
     groups: dict[tuple[tuple[int, ...], ...], list[tuple[DeterministicLhv, int]]] = {}
     for lhv, w in m.components:
         rect = tuple(map(click_set.__getitem__, lhv.tables))
@@ -425,79 +393,82 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
             for lhv, w in comps:
                 a = lhv.outputs(x)
                 row[a] = row.get(a, 0) + w
-    # eps_var * eta_n = sum_x mu(x) sum_a |target(a|x)| plus, over the clicked
-    # (x, a), mu(x) (|target(a|x) - P(a, all-click|x)| - |target(a|x)|); the
-    # first sum is taken once per distinct target row object. An exact row
-    # is scaled once to integer numerators over tden, the lcm of its click
+    return _score(click_rows, den, problem)
+
+
+def _score(
+    click_rows: Mapping[InputVector, Mapping[OutcomeVector, int]],
+    den: int,
+    problem: CorrelationProblem,
+) -> ModelMetrics:
+    """The three figures of a model whose mass on click outcome ``a`` at
+    supported input ``x`` is ``click_rows[x][a] / den`` (inputs where the
+    model never clicks may be left out), with
+
+        eta_n   = sum_x mu(x) P(all-click | x)
+        eps     = sum_x mu(x) sum_{a forbidden} P(a, all-click | x) / eta_n
+        eps_var = sum_x mu(x) sum_a |target(a|x) - P(a, all-click | x)| / eta_n
+
+    (``a`` ranges over click outcomes). ``eps_var`` compares the target with
+    the unconditioned click mass, so it is not bounded by 2 when eta_n < 1.
+    One pass over the support sums all three in integer numerators; each
+    figure is one ``Fraction`` built at the end.
+    """
+    mu = problem.mu
+    support = problem.support
+    # input weights are integer numerators over mu_den
+    mu_den = math.lcm(*(mu[x].denominator for x in support))
+    # eps_var * eta_n = sum_x mu(x) sum_a target(a|x) plus, over the clicked
+    # (x, a), mu(x) (|target(a|x) - P(a, all-click|x)| - target(a|x)); the
+    # first sum is taken once per distinct target row object. A row is
+    # scaled once to integer numerators over tden, the lcm of its click
     # entries' denominators, and multiplied by den, so each clicked term is
-    # the int |t - num*tden| - |t| over den*tden; any other row keeps the
-    # generic sum
-    # id -> [row, scaled click row (None unless exact), tden, weight, deviation]
+    # the int |t - num*tden| - t over den*tden
+    # id -> [scaled click row, tden, weight, deviation]
     rows: dict[int, list] = {}
     click_num = 0
     wrong_num = 0
-    var_other: Prob = ZERO  # the generic sum, over the rows that are not exact
     for x in support:
         wx = mu[x]
         w = wx.numerator * (mu_den // wx.denominator)
         target_row = problem.target[x]
         entry = rows.get(id(target_row))
         if entry is None:
-            entry = rows[id(target_row)] = [target_row, None, 1, 0, 0]
-            if _is_exact_row(target_row):
-                clicked = [(a, p) for a, p in target_row.items() if all_click(a)]
-                tden = entry[2] = math.lcm(*(p.denominator for _, p in clicked))
-                entry[1] = {a: p.numerator * (tden // p.denominator) * den for a, p in clicked}
-        entry[3] += w
+            clicked = [(a, p) for a, p in target_row.items() if all_click(a)]
+            tden = math.lcm(*(p.denominator for _, p in clicked))
+            scaled = {a: p.numerator * (tden // p.denominator) * den for a, p in clicked}
+            entry = rows[id(target_row)] = [scaled, tden, 0, 0]
+        entry[2] += w
         click_row = click_rows.get(x)
         if not click_row:
             continue
+        scaled, tden = entry[0], entry[1]
         clicks = 0
         wrong = 0
-        scaled = entry[1]
-        if scaled is not None:
-            tden = entry[2]
-            dev = 0
-            for a, num in click_row.items():
-                t = scaled.get(a, 0)
-                clicks += num
-                if not t:
-                    wrong += num
-                dev += abs(t - num * tden) - abs(t)
-            entry[4] += w * dev
-        else:
-            dev_other: Prob = ZERO
-            for a, num in click_row.items():
-                t = target_row.get(a, ZERO)
-                clicks += num
-                if t == 0:
-                    wrong += num
-                dev_other += abs(t - Fraction(num, den)) - abs(t)
-            var_other += wx * dev_other
+        dev = 0
+        for a, num in click_row.items():
+            t = scaled.get(a, 0)
+            clicks += num
+            if not t:
+                wrong += num
+            dev += abs(t - num * tden) - t
+        entry[3] += w * dev
         click_num += w * clicks
         wrong_num += w * wrong
     if click_num == 0:
         raise DivisionByZeroEfficiency("no all-click events, metrics undefined")
     eta_n = Fraction(click_num, mu_den * den)
-    # each exact row's share is an int over mu_den * den * tden; over the lcm
-    # of the tdens they add up to one numerator, and dividing by eta_n
-    # cancels mu_den * den
-    tlcm = math.lcm(*(tden for _, _, tden, _, _ in rows.values()))
-    var_num = 0
-    generic = False
-    for row, scaled, tden, weight, dev in rows.values():
-        if scaled is not None:
-            var_num += (weight * sum(map(abs, scaled.values())) + dev) * (tlcm // tden)
-        else:
-            generic = True
-            mass = sum(abs(p) for a, p in row.items() if all_click(a))
-            var_other += mass * Fraction(weight, mu_den)
-    eps_var: Prob = Fraction(var_num, tlcm * click_num)
-    if generic:
-        eps_var += var_other / eta_n
+    # each row's share is an int over mu_den * den * tden; over the lcm of
+    # the tdens they add up to one numerator, and dividing by eta_n cancels
+    # mu_den * den
+    tlcm = math.lcm(*(tden for _, tden, _, _ in rows.values()))
+    var_num = sum(
+        (weight * sum(scaled.values()) + dev) * (tlcm // tden)
+        for scaled, tden, weight, dev in rows.values()
+    )
     return ModelMetrics(
         eta_n=eta_n,
         eta=float(eta_n) ** (1.0 / problem.n),
-        eps=Fraction(wrong_num, mu_den * den) / eta_n,
-        eps_var=eps_var,
+        eps=Fraction(wrong_num, click_num),
+        eps_var=Fraction(var_num, tlcm * click_num),
     )

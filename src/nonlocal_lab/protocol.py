@@ -19,7 +19,6 @@ from typing import Iterator, Literal, Union
 
 from .errors import (
     ArityMismatch,
-    DivisionByZeroEfficiency,
     FlavorMismatch,
     InvalidInput,
     MalformedTree,
@@ -30,10 +29,10 @@ from .model import (
     InputVector,
     MixedLhv,
     ModelDistribution,
-    Outcome,
+    OutcomeVector,
     ZERO,
+    _score,
     _sums_to_one,
-    all_click,
 )
 
 Flavor = Literal["shared", "local"]
@@ -144,7 +143,7 @@ class ProtocolTree:
         return [(leaf, sets) for leaf, sets, _ in self._walk() if all(sets)]
 
 
-def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, Outcome]:
+def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, OutcomeVector]:
     """Walk the unique root-to-leaf path selected by ``x``.
 
     Returns the (preorder) leaf index and the joint outcome.
@@ -162,7 +161,7 @@ def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, Outcome]:
                 break
         index += v.leaf_offsets[j]
         v = e.child
-    return index, Outcome(values=v.lhv.outputs(x))
+    return index, v.lhv.outputs(x)
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ def induced_distribution(m: MixedProtocol, problem: CorrelationProblem) -> Model
     for x in problem.support:
         row: dict[tuple, Fraction] = {}
         for t, w in m.components:
-            _, outcome = execute(t, x)
-            row[outcome.values] = row.get(outcome.values, ZERO) + w
+            _, a = execute(t, x)
+            row[a] = row.get(a, ZERO) + w
         probs[x] = row
     return ModelDistribution(probs=probs)
 
@@ -246,10 +245,11 @@ def induced_metrics(m: MixedProtocol, problem: CorrelationProblem) -> tuple[Frac
 
     Each (input, tree) execution adds the tree's weight, as an integer
     numerator over the lcm of the weights' denominators, to the input's
-    all-click mass and, when the target forbids the outcome, to its wrong
-    mass. Equal to :func:`induced_distribution` followed by
-    ``detection_efficiency`` and ``error_probability``, and independent of
-    :func:`to_detector_model`, so the two routes cross-check the conversion.
+    click row, which the model scorer then turns into the figures. Equal to
+    :func:`induced_distribution` followed by ``detection_efficiency`` and
+    ``error_probability``, and independent of :func:`to_detector_model`
+    (outcomes come from :func:`execute` only), so the two routes
+    cross-check the conversion.
     """
     if (m.n, m.k) != (problem.n, problem.k):
         raise ArityMismatch(
@@ -257,29 +257,14 @@ def induced_metrics(m: MixedProtocol, problem: CorrelationProblem) -> tuple[Frac
         )
     den = math.lcm(*(w.denominator for _, w in m.components))
     trees = [(t, w.numerator * (den // w.denominator)) for t, w in m.components]
-    mu = problem.mu
-    support = problem.support
-    mu_den = math.lcm(*(mu[x].denominator for x in support))
-    click_num = 0
-    wrong_num = 0
-    for x in support:
-        target_row = problem.target.get(x, {})
-        clicks = 0
-        wrong = 0
+    click_rows: dict[InputVector, dict[OutcomeVector, int]] = {}
+    for x in problem.support:
+        row = click_rows[x] = {}
         for t, w in trees:
-            a = execute(t, x)[1].values
-            if all_click(a):
-                clicks += w
-                if target_row.get(a, ZERO) == 0:
-                    wrong += w
-        wx = mu[x]
-        scale = wx.numerator * (mu_den // wx.denominator)
-        click_num += scale * clicks
-        wrong_num += scale * wrong
-    eta_n = Fraction(click_num, mu_den * den)
-    if eta_n == 0:
-        raise DivisionByZeroEfficiency("no all-click events, error undefined")
-    return eta_n, Fraction(wrong_num, mu_den * den) / eta_n
+            a = execute(t, x)[1]  # leaves are click-only: every outcome clicks
+            row[a] = row.get(a, 0) + w
+    metrics = _score(click_rows, den, problem)
+    return metrics.eta_n, metrics.eps
 
 
 def to_detector_model(m: MixedProtocol) -> MixedLhv:

@@ -100,14 +100,13 @@ def advantages(r: Rectangle, problem: CorrelationProblem) -> dict[OutcomeVector,
     Reads only ``problem.mu`` and ``problem.target``. Raises ``EmptyWeight``
     when the rectangle carries no input weight.
     """
-    alphabet = frozenset(range(problem.l))
     weight = Fraction(0)
     tally: dict[OutcomeVector, Fraction] = {}
     for x, w in problem.mu.items():
         if w > 0 and x in r:
             weight += w
             for a, p in problem.target[x].items():
-                if p > 0 and len(a) == problem.n and alphabet.issuperset(a):
+                if p > 0 and None not in a:
                     tally[a] = tally.get(a, 0) + w
     if weight == 0:
         raise EmptyWeight("rectangle carries no input weight")

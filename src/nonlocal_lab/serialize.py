@@ -24,7 +24,7 @@ from typing import Any, Callable, Union
 
 from .cyclic import Subgroup
 from .errors import InvalidInput
-from .model import CorrelationProblem, DeterministicLhv, MixedLhv, Outcome
+from .model import CorrelationProblem, DeterministicLhv, MixedLhv, OutcomeVector
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree
 
 NULL_CLICK = "null-click"
@@ -71,8 +71,8 @@ def entry_from_json(v: Any) -> Union[int, None]:
     raise InvalidInput(f"outcome entries must be ints or {NULL_CLICK!r}, got {v!r}")
 
 
-def outcome_to_json(a: Outcome) -> list:
-    return [entry_to_json(v) for v in a.values]
+def outcome_to_json(a: OutcomeVector) -> list:
+    return [entry_to_json(v) for v in a]
 
 
 def lhv_to_json(lhv: DeterministicLhv) -> dict:
@@ -204,7 +204,7 @@ def problem_to_json(p: CorrelationProblem) -> dict:
             {
                 "x": list(x),
                 "probs": [
-                    {"a": [entry_to_json(v) for v in a], "p": number_to_json(q)}
+                    {"a": outcome_to_json(a), "p": fraction_to_json(q)}
                     for a, q in row.items()
                 ],
             }
@@ -222,8 +222,7 @@ def problem_from_json(obj: Any) -> CorrelationProblem:
         row = {}
         for cell in rec["probs"]:
             a = tuple(entry_from_json(v) for v in cell["a"])
-            p = cell["p"]
-            row[a] = fraction_from_json(p) if isinstance(p, dict) else float(p)
+            row[a] = fraction_from_json(cell["p"])
         target[tuple(rec["x"])] = row
     return CorrelationProblem(
         n=obj["n"], k=obj["k"], l=obj["l"], mu=mu, target=target

@@ -105,17 +105,17 @@ def problems(draw):
     raw[0] += 1
     mu = {x: Fraction(r, sum(raw)) for x, r in zip(inputs, raw)}
     outcomes = list(itertools.product(range(2), repeat=n))
-    exact = draw(st.booleans())
+    point_masses = draw(st.booleans())  # rows of int entries, 0s included
     target = {}
     for x in inputs:
+        if point_masses:
+            hit = draw(st.sampled_from(outcomes))
+            target[x] = {a: int(a == hit) for a in outcomes}
+            continue
         cells = draw(st.lists(st.integers(0, 3), min_size=len(outcomes), max_size=len(outcomes)))
         cells[0] += 1
         total = sum(cells)
-        target[x] = {
-            a: (Fraction(c, total) if exact else c / total)
-            for a, c in zip(outcomes, cells)
-            if c
-        }
+        target[x] = {a: Fraction(c, total) for a, c in zip(outcomes, cells) if c}
     return CorrelationProblem(n=n, k=k, l=2, mu=mu, target=target)
 
 

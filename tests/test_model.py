@@ -269,22 +269,38 @@ def test_problem_validation_sums_each_shared_row_once():
         CorrelationProblem(n=2, k=2, l=2, mu=mu, target={x: dict(bad) for x in mu})
 
 
-def test_problem_validation_mixes_exact_and_float_rows():
-    mu = {(a, b): F(1, 4) for a in range(2) for b in range(2)}
-    exact = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
-    mixed = {(0, 0): F(1, 2), (1, 1): 0.5}  # one float entry: decided within the tolerance
-    rounded = {(0, 0): 0.1 + 0.2, (1, 1): 0.7}  # sums to 1.0000000000000002
-    target = {(0, 0): mixed, (0, 1): rounded, (1, 0): exact, (1, 1): mixed}
-    problem = CorrelationProblem(n=2, k=2, l=2, mu=mu, target=target)
-    assert problem.target_prob((1, 1), (1, 1)) == 0.5
-    # an exact row is decided exactly, even by less than the float tolerance
+@pytest.mark.parametrize("bad", [0.5, True, "1/2", F(-1, 2)], ids=repr)
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["supported", "zero-weight"])
+def test_problem_refuses_an_inexact_or_negative_target_entry(bad, where):
+    # (1, 1) has no weight; its row is checked all the same
+    mu = {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 1): F(0)}
+    good = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    target = {x: good for x in mu}
+    # the rest of the row makes up the sum where it can, so only the entry is wrong
+    target[where] = {(0, 0): bad, (1, 1): 1 - bad if isinstance(bad, Fraction) else F(1, 2)}
+    with pytest.raises(
+        InvalidInput,
+        match=rf"^target entry {re.escape(repr(bad))} for \(0, 0\) at {re.escape(str(where))} "
+        "is not a nonnegative Fraction or int$",
+    ):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target=target)
+
+
+def test_problem_accepts_int_entries_and_checks_every_row_sum():
+    mu = {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 1): F(0)}
+    ints = {(0, 0): 1, (1, 1): 0}
+    problem = CorrelationProblem(n=2, k=2, l=2, mu=mu, target={x: ints for x in mu})
+    assert problem.target_prob((0, 1), (0, 0)) == 1 and problem.is_forbidden((0, 1), (1, 1))
+    m = MixedLhv(components=((const_lhv(2, 2, 0), F(1, 3)), (const_lhv(2, 2, 1), F(2, 3))))
+    assert assert_metrics_match(m, problem)
+    assert mixed_lhv_metrics(m, problem).eps == F(2, 3)
+    # an exact row is decided exactly, even by less than any float tolerance
     hair = {(0, 0): F(1, 2), (1, 1): F(1, 2) + F(1, 10**15)}
-    with pytest.raises(InvalidInput, match=r"^target at \(1, 0\) sums to"):
-        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**target, (1, 0): hair})
-    # a shared float row off by more than the tolerance is named once, at its first input
-    off = {(0, 0): 0.5, (1, 1): 0.5 + 1e-9}
-    with pytest.raises(InvalidInput, match=r"^target at \(0, 1\) sums to"):
-        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**target, (0, 1): off, (1, 1): off})
+    with pytest.raises(InvalidInput, match=r"^target at \(1, 1\) sums to"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**{x: ints for x in mu}, (1, 1): hair})
+    # an empty row sums to 0
+    with pytest.raises(InvalidInput, match=r"^target at \(1, 1\) sums to 0, expected 1$"):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**{x: ints for x in mu}, (1, 1): {}})
 
 
 def test_problem_validation_rejects_malformed_target_outcomes():
@@ -332,18 +348,14 @@ def oracle_metrics(m, problem):
     return eff.eta_n, eff.eta, error_probability(d, problem), total_variation_error(d, problem)
 
 
-def assert_metrics_match(m, problem, tol=None):
+def assert_metrics_match(m, problem):
     expected = oracle_metrics(m, problem)
     if expected is None:
         with pytest.raises(DivisionByZeroEfficiency):
             mixed_lhv_metrics(m, problem)
         return False
     met = mixed_lhv_metrics(m, problem)
-    if tol is None:
-        assert (met.eta_n, met.eta, met.eps, met.eps_var) == expected
-    else:
-        assert (met.eta_n, met.eta, met.eps) == expected[:3]
-        assert abs(met.eps_var - expected[3]) <= tol
+    assert (met.eta_n, met.eta, met.eps, met.eps_var) == expected
     return True
 
 
@@ -411,9 +423,8 @@ def test_grouped_metrics_without_any_click():
         assert not assert_metrics_match(MixedLhv(components=comps), problem)
 
 
-def sparse_problem(rng, n, k, exact=True):
-    """Random weights with zero-weight inputs and random target rows, rational
-    or float."""
+def sparse_problem(rng, n, k):
+    """Random weights with zero-weight inputs and random rational target rows."""
     inputs = list(itertools.product(range(k), repeat=n))
     raw = [rng.choice([0, 0, 1, 2, 3]) for _ in inputs]
     raw[0] = raw[0] or 1
@@ -423,10 +434,7 @@ def sparse_problem(rng, n, k, exact=True):
     for x in inputs:
         cells = [rng.randint(0, 4) for _ in outcomes]
         cells[0] += 1
-        if exact:
-            target[x] = {a: F(c, sum(cells)) for a, c in zip(outcomes, cells) if c}
-        else:
-            target[x] = {a: c / sum(cells) for a, c in zip(outcomes, cells) if c}
+        target[x] = {a: F(c, sum(cells)) for a, c in zip(outcomes, cells) if c}
     return CorrelationProblem(n=n, k=k, l=2, mu=mu, target=target)
 
 
@@ -448,33 +456,19 @@ def test_grouped_metrics_on_a_sparse_input_distribution():
     assert checked > 20
 
 
-def test_grouped_metrics_with_a_float_target():
-    rng = random.Random(43)
-    problem = sparse_problem(rng, 3, 2, exact=False)
-    support = problem.support
-    checked = 0
-    for _ in range(40):
-        m = random_grouped_mixture(rng, 3, 2, support)
-        checked += assert_metrics_match(m, problem, tol=1e-12)
-    assert checked > 20
-
-
 # --- the integer eps_var pass against the ModelDistribution route ----------
 
 
-def hand_built_problem(float_row=False):
+def hand_built_problem():
     """n=2, k=3, l=2: rows over the coprime denominators 3, 5 and 7, one row
     shared by two inputs, silent outcomes that carry target mass, input
-    weights over 3, 6 and 4, and listed inputs of zero weight. With
-    ``float_row`` the row over 5 holds floats instead."""
+    weights over 3, 6 and 4, and listed inputs of zero weight."""
     mu = {
         (0, 0): F(1, 3), (1, 0): F(1, 6), (0, 1): F(1, 4), (1, 2): F(1, 4),
         (2, 2): F(0), (2, 0): F(0),
     }
     thirds = {(0, 0): F(1, 3), (1, 1): F(2, 3)}
     fifths = {(0, 1): F(2, 5), (1, 0): F(1, 5), (0, None): F(2, 5)}
-    if float_row:
-        fifths = {a: float(p) for a, p in fifths.items()}
     sevenths = {(0, 0): F(1, 7), (1, 0): F(4, 7), (None, None): F(2, 7)}
     target = {
         (0, 0): thirds, (1, 0): thirds, (0, 1): fifths, (1, 2): sevenths,
@@ -511,20 +505,6 @@ def test_integer_pass_matches_oracle_on_a_hand_built_problem():
     # one model that clicks only on (0, 1), whose row carries silent mass
     point = DeterministicLhv(tables=((0, None, None), (None, 1, None)))
     assert assert_metrics_match(MixedLhv(components=((point, F(1)),)), problem)
-
-
-def test_integer_pass_with_exact_and_float_rows():
-    rng = random.Random(53)
-    problem = hand_built_problem(float_row=True)
-    checked = 0
-    for _ in range(150):
-        m = coprime_mixture(rng, 2, 3)
-        if assert_metrics_match(m, problem, tol=1e-12):
-            checked += 1
-            met = mixed_lhv_metrics(m, problem)
-            assert type(met.eta_n) is Fraction and type(met.eps) is Fraction
-            assert type(met.eps_var) is float  # the float row makes the sum a float
-    assert checked > 75
 
 
 def test_converted_broadcast_metrics_pinned():

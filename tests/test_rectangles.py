@@ -107,13 +107,13 @@ def test_advantages_match_the_per_outcome_oracle(n, k):
 
 def test_advantages_on_a_hand_built_problem():
     # non-uniform weights, a listed zero-weight input whose row admits an
-    # outcome no supported row does, an explicit 0 entry, a silent outcome
-    # with positive mass, and a float row
+    # outcome no supported row does, an explicit 0 entry, and a silent
+    # outcome with positive mass
     mu = {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 2): F(1, 6), (2, 2): F(0)}
     target = {
         (0, 0): {(0, 0): F(1, 2), (0, 1): F(0), (1, 0): F(1, 2)},
         (0, 1): {(0, 1): F(1, 4), (0, None): F(1, 2), (1, 1): F(1, 4)},
-        (1, 2): {(0, 0): 0.25, (1, 0): 0.75},
+        (1, 2): {(0, 0): F(1, 4), (1, 0): F(3, 4)},
         (2, 2): {(1, 1): F(1)},
     }
     problem = CorrelationProblem(n=2, k=3, l=2, mu=mu, target=target)

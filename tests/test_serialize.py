@@ -20,7 +20,7 @@ from nonlocal_lab import serialize
 from nonlocal_lab.cyclic import Subgroup
 from nonlocal_lab.errors import InvalidInput
 from nonlocal_lab.ghz import GhzInstance, broadcast_strategy, broadcast_strategy_mixed, ghz_problem
-from nonlocal_lab.model import DeterministicLhv, Outcome
+from nonlocal_lab.model import DeterministicLhv
 from nonlocal_lab.protocol import MixedProtocol, to_detector_model
 
 F = Fraction
@@ -37,7 +37,7 @@ def test_fraction_wire_format():
 
 
 def test_null_click_literal():
-    out = Outcome(values=(0, None, 1))
+    out = (0, None, 1)
     payload = serialize.outcome_to_json(out)
     assert payload == [0, "null-click", 1]
     assert [serialize.entry_from_json(v) for v in payload] == list(out)
@@ -64,6 +64,15 @@ def test_problem_round_trip():
     assert {x: dict(row) for x, row in back.target.items()} == {
         x: dict(row) for x, row in problem.target.items()
     }
+
+
+@pytest.mark.parametrize("bare", [0.125, 1, "1/8", None])
+def test_problem_from_json_refuses_a_bare_number_probability(bare):
+    # targets are exact: a probability is a num/den payload, never a bare number
+    payload = json.loads(serialize.dumps(serialize.problem_to_json(ghz_problem(GhzInstance(n=3, k=2)))))
+    payload["target"][1]["probs"][0]["p"] = bare
+    with pytest.raises(InvalidInput, match="not a rational payload"):
+        serialize.problem_from_json(payload)
 
 
 def test_tree_schema_and_round_trip():
