@@ -80,6 +80,7 @@ from .protocol import (
     ProtocolTree,
     cost,
     cost_details,
+    distinct_leaves,
     execute,
     induced_distribution,
     induced_metrics,

@@ -341,9 +341,9 @@ def _protocol_from_json(payload: Any) -> protocol.MixedProtocol:
 
 def cmd_protocol_run(args: argparse.Namespace) -> tuple[dict, bool]:
     mixed = _load_json(args.tree, _protocol_from_json)
-    # decoded files share leaf models: check each distinct one once
-    leaf_models = {id(leaf.lhv): leaf.lhv for t, _ in mixed.components for leaf in t.leaves()}
-    model.check_output_alphabet(leaf_models.values(), ghz.OUTPUTS)
+    # decoded files share subtrees: check each distinct leaf once
+    leaves = protocol.distinct_leaves(t for t, _ in mixed.components)
+    model.check_output_alphabet((leaf.lhv for leaf in leaves), ghz.OUTPUTS)
     costs = [protocol.cost_details(t) for t, _ in mixed.components]
     c = max(cd.worst_case for cd in costs)
     report: dict[str, Any] = {

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ArityMismatch, DivisionByZeroEfficiency, InvalidInput
 
@@ -47,6 +47,11 @@ def _is_outcome(a: object, n: int, l: int) -> bool:
     )
 
 
+def _is_input(x: object, n: int, k: int) -> bool:
+    """Whether ``x`` is a tuple of ``n`` settings in ``{0..k-1}``."""
+    return type(x) is tuple and len(x) == n and all(map(range(k).__contains__, x))
+
+
 def _is_probability(p: object) -> bool:
     """Whether ``p`` is an exact probability entry: a nonnegative ``Fraction``
     or ``int`` (``bool`` subclasses ``int`` and is refused)."""
@@ -62,8 +67,9 @@ class CorrelationProblem:
     ``x -> {outcome: probability}`` and missing outcomes carry probability 0.
     Outcomes with missing clicks conventionally carry target probability 0
     (the target describes an ideal, always-clicking scenario). Every target
-    entry is a nonnegative ``Fraction`` or ``int``, and every row, of a
-    supported input or not, sums to exactly 1.
+    row is keyed by an input in ``{0..k-1}^n``, every entry is a nonnegative
+    ``Fraction`` or ``int``, and every row, of a supported input or not, sums
+    to exactly 1.
     """
 
     n: int
@@ -77,13 +83,18 @@ class CorrelationProblem:
             raise ArityMismatch("n, k, l must all be positive")
         total = ZERO
         for x, w in self.mu.items():
-            if len(x) != self.n or any(not (0 <= v < self.k) for v in x):
+            if not _is_input(x, self.n, self.k):
                 raise ArityMismatch(f"input {x} outside {{0..{self.k - 1}}}^{self.n}")
             if w < 0:
                 raise InvalidInput(f"negative input weight at {x}")
             total += w
         if total != 1:
             raise InvalidInput(f"input weights sum to {total}, expected 1")
+        for x in self.target:
+            if x not in self.mu and not _is_input(x, self.n, self.k):
+                raise InvalidInput(
+                    f"target row for {x!r} outside {{0..{self.k - 1}}}^{self.n}"
+                )
         # each row object is checked once (rows are often shared), at the
         # first input naming it: supported inputs first, then every other row
         checked = set()
@@ -143,7 +154,8 @@ def uniform_problem(n: int, k: int, l: int = 2) -> CorrelationProblem:
 class DeterministicLhv:
     """One lookup table per party; entries may be ``None`` (no click).
 
-    Every party's table must be a total function on ``{0..k-1}``.
+    Every party's table must be a total function on ``{0..k-1}`` whose
+    entries are ``None`` or nonnegative ints (``bool`` is refused).
     """
 
     tables: tuple[tuple[Entry, ...], ...]
@@ -151,15 +163,17 @@ class DeterministicLhv:
     def __post_init__(self) -> None:
         tables = tuple(map(tuple, self.tables))  # keeps tables that are tuples already
         object.__setattr__(self, "tables", tables)
-        if not tables:
-            raise InvalidInput("at least one party required")
-        k = len(tables[0])
-        for t in tables:
-            if len(t) != k or k == 0:
-                raise InvalidInput("party tables must share one input range")
-            for v in t:
-                if v is not None and v < 0:
-                    raise InvalidInput("outputs must be None or nonnegative ints")
+        _check_lhv_tables(tables)
+
+    @classmethod
+    def _checked(cls, tables: tuple[tuple[Entry, ...], ...]) -> DeterministicLhv:
+        """The model over ``tables``, a tuple of tuples that already passed
+        :func:`_check_lhv_tables`, built without checking it again: the
+        decoder checks each distinct table once, and the converter masks
+        checked tables."""
+        lhv = object.__new__(cls)
+        object.__setattr__(lhv, "tables", tables)
+        return lhv
 
     @property
     def n(self) -> int:
@@ -186,6 +200,33 @@ def check_output_alphabet(lhvs: Iterable[DeterministicLhv], l: int) -> None:
     _check_tables((t for lhv in lhvs for t in lhv.tables), l)
 
 
+def _check_lhv_tables(
+    tables: tuple[tuple[Entry, ...], ...], valid: Optional[set[int]] = None
+) -> None:
+    """Raise ``InvalidInput`` unless ``tables`` is a nonempty tuple of tables
+    of one positive length whose entries are ``None`` or nonnegative ints.
+
+    ``valid``, when given, holds the ids of table objects whose entries
+    passed before, which the caller keeps alive; each table that passes is
+    added. It is keyed on identity, never on value: ``(True, 1) == (1, 1)``,
+    and only the second is a table.
+    """
+    if not tables:
+        raise InvalidInput("at least one party required")
+    k = len(tables[0])
+    if k and valid and valid.issuperset(map(id, tables)) and all(map(k.__eq__, map(len, tables))):
+        return  # every table passed before and the lengths agree
+    for t in tables:
+        if len(t) != k or k == 0:
+            raise InvalidInput("party tables must share one input range")
+        if valid is None or id(t) not in valid:
+            for v in t:
+                if v is not None and (type(v) is not int or v < 0):
+                    raise InvalidInput("outputs must be None or nonnegative ints")
+            if valid is not None:
+                valid.add(id(t))
+
+
 def _check_tables(tables: Iterable[tuple[Entry, ...]], l: int) -> None:
     for t in tables:
         for v in t:
@@ -193,11 +234,14 @@ def _check_tables(tables: Iterable[tuple[Entry, ...]], l: int) -> None:
                 raise InvalidInput(f"output {v} outside {{0..{l - 1}}}")
 
 
-def _sums_to_one(weights: list[Fraction]) -> bool:
-    """Whether ``weights`` sum to exactly 1, decided by one integer sum of
-    the numerators scaled to the lcm of the denominators."""
+def _sums_to_one(
+    weights: Sequence[Fraction], counts: Iterable[int] = itertools.repeat(1)
+) -> bool:
+    """Whether ``weights``, each taken ``counts`` times (once by default),
+    sum to exactly 1, decided by one integer sum of the numerators scaled to
+    the lcm of the denominators."""
     den = math.lcm(*(w.denominator for w in weights))
-    return sum(w.numerator * (den // w.denominator) for w in weights) == den
+    return sum(w.numerator * (den // w.denominator) * c for w, c in zip(weights, counts)) == den
 
 
 @dataclass(frozen=True)
@@ -207,20 +251,35 @@ class MixedLhv:
     components: tuple[tuple[DeterministicLhv, Fraction], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(
-            (lhv, w if type(w) is Fraction else Fraction(w)) for lhv, w in self.components
-        )
-        object.__setattr__(self, "components", comps)
+        comps = tuple(self.components)
         if not comps:
             raise InvalidInput("a mixture needs at least one component")
+        # components share models and weights: each distinct object is
+        # checked once, and each distinct weight enters the sum once, times
+        # the number of its components
         n, k = comps[0][0].n, comps[0][0].k
+        models: set[int] = set()
+        weights: dict[int, Fraction] = {}  # keyed on the ids of the given weights
+        counts: dict[int, int] = {}
+        converted = False
         for lhv, w in comps:
-            if len(lhv.tables) != n or len(lhv.tables[0]) != k:
-                raise ArityMismatch("all components must share (n, k)")
-            if w.numerator <= 0:  # the denominator is positive
+            if id(lhv) not in models:
+                models.add(id(lhv))
+                if len(lhv.tables) != n or len(lhv.tables[0]) != k:
+                    raise ArityMismatch("all components must share (n, k)")
+            if id(w) in counts:
+                counts[id(w)] += 1
+                continue
+            counts[id(w)] = 1
+            converted |= type(w) is not Fraction
+            q = weights[id(w)] = w if type(w) is Fraction else Fraction(w)
+            if q.numerator <= 0:  # the denominator is positive
                 raise InvalidInput("component weights must be positive")
-        if not _sums_to_one([w for _, w in comps]):
+        if not _sums_to_one(list(weights.values()), counts.values()):
             raise InvalidInput("component weights must sum to 1")
+        if converted:
+            comps = tuple((lhv, weights[id(w)]) for lhv, w in comps)
+        object.__setattr__(self, "components", comps)
 
     @property
     def n(self) -> int:

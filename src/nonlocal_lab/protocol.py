@@ -12,10 +12,11 @@ the per-node ``ceil(log2(children))`` charges.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal, Union
+from typing import Iterable, Iterator, Literal, Union
 
 from .errors import (
     ArityMismatch,
@@ -94,34 +95,32 @@ class ProtocolTree:
 
     def __post_init__(self) -> None:
         full = frozenset(range(self.k))
-        seen = set()  # ids of checked nodes: decoded trees share subtrees
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if id(v) in seen:
-                continue
-            seen.add(id(v))
+        for v in _distinct_nodes((self.root,)):
             if isinstance(v, Leaf):
                 if (v.lhv.n, v.lhv.k) != (self.n, self.k):
                     raise ArityMismatch("leaf model shape differs from the tree's (n, k)")
                 continue
             if v.party >= self.n:
                 raise ArityMismatch(f"node speaks for party {v.party} but n={self.n}")
-            if any(not e.inputs <= full for e in v.edges):
+            blocks = [e.inputs for e in v.edges]
+            covered = frozenset().union(*blocks)
+            if not covered <= full:
                 raise ArityMismatch("edge block outside the input range")
             # the blocks partition the speaker's settings, so every input
             # selects exactly one edge
-            covered = frozenset().union(*(e.inputs for e in v.edges))
-            if sum(len(e.inputs) for e in v.edges) != len(covered):
+            if sum(map(len, blocks)) != len(covered):
                 raise MalformedTree(f"overlapping blocks at party {v.party}")
             if covered != full:
                 raise MalformedTree(f"blocks at party {v.party} do not cover inputs")
-            stack.extend(e.child for e in reversed(v.edges))
 
     def _walk(self) -> Iterator[tuple[Leaf, tuple[frozenset[int], ...], int]]:
         """Each leaf in preorder (left to right), with the per-party input
         sets consistent with its path (empty when no input reaches it) and
-        the bits charged on that path."""
+        the bits charged on that path.
+
+        This walk expands shared subtrees, once per path: the conversion
+        needs one model per reachable path, and the tests use it as the
+        oracle of the per-distinct-node passes below."""
         stack = [(self.root, (frozenset(range(self.k)),) * self.n, 0)]
         while stack:
             v, sets, bits = stack.pop()
@@ -130,8 +129,9 @@ class ProtocolTree:
                 continue
             p = v.party
             bits += (len(v.edges) - 1).bit_length()  # ceil(log2(children))
+            head, own, tail = sets[:p], sets[p], sets[p + 1 :]
             for e in reversed(v.edges):
-                stack.append((e.child, sets[:p] + (sets[p] & e.inputs,) + sets[p + 1 :], bits))
+                stack.append((e.child, head + (own & e.inputs,) + tail, bits))
 
     def leaves(self) -> list[Leaf]:
         """Leaves in stable (preorder, left-to-right) order."""
@@ -143,12 +143,35 @@ class ProtocolTree:
         return [(leaf, sets) for leaf, sets, _ in self._walk() if all(sets)]
 
 
+def _distinct_nodes(roots: Iterable[Union[Node, Leaf]]) -> Iterator[Union[Node, Leaf]]:
+    """Each distinct node and leaf object under ``roots`` once, in order of
+    first appearance in preorder. Decoded trees share subtrees, so this
+    visits each distinct node once, not once per path."""
+    seen: set[int] = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if id(v) in seen:
+                continue
+            seen.add(id(v))
+            yield v
+            if isinstance(v, Node):
+                stack.extend(e.child for e in reversed(v.edges))
+
+
+def distinct_leaves(trees: Iterable[ProtocolTree]) -> list[Leaf]:
+    """Each distinct leaf object of ``trees`` once, in order of first
+    appearance in preorder."""
+    return [v for v in _distinct_nodes(t.root for t in trees) if isinstance(v, Leaf)]
+
+
 def execute(tree: ProtocolTree, x: InputVector) -> tuple[int, OutcomeVector]:
     """Walk the unique root-to-leaf path selected by ``x``.
 
     Returns the (preorder) leaf index and the joint outcome.
     """
-    if len(x) != tree.n or any(not (0 <= v < tree.k) for v in x):
+    if len(x) != tree.n or not all(map(range(tree.k).__contains__, x)):
         raise ArityMismatch(f"input {x} outside {{0..{tree.k - 1}}}^{tree.n}")
 
     v: Union[Node, Leaf] = tree.root
@@ -173,7 +196,37 @@ class CostReport:
 
 
 def cost_details(tree: ProtocolTree) -> CostReport:
-    per_leaf = tuple(bits for _, _, bits in tree._walk())
+    """The bits charged on every root-to-leaf path, in preorder.
+
+    Decoded trees share subtrees, so the charges below each distinct
+    (subtree, bits charged above it) pair are built once and concatenated,
+    in a memo local to this call. Paths that no input can take are charged
+    too, as the benchmark's oracle charges them; charging reachable paths
+    only waits on the benchmark's fix (ROADMAP item 1).
+    """
+    if isinstance(tree.root, Leaf):
+        return CostReport(worst_case=0, per_leaf=(0,))
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}  # keyed on (node id, bits above)
+    # frames: a node, the bits charged above it and the charges under its
+    # first edges; a frame waits while the child of its next edge is on top
+    stack: list[tuple[Node, int, list]] = [(tree.root, 0, [])]
+    while stack:
+        v, bits, parts = stack[-1]
+        below = bits + (len(v.edges) - 1).bit_length()  # ceil(log2(children))
+        for e in v.edges[len(parts) :]:
+            if isinstance(e.child, Leaf):
+                parts.append((below,))
+            elif (id(e.child), below) in memo:
+                parts.append(memo[id(e.child), below])
+            else:
+                stack.append((e.child, below, []))
+                break
+        else:
+            stack.pop()
+            charges = memo[id(v), bits] = tuple(itertools.chain.from_iterable(parts))
+            if stack:
+                stack[-1][2].append(charges)
+    per_leaf = memo[id(tree.root), 0]
     return CostReport(worst_case=max(per_leaf), per_leaf=per_leaf)
 
 
@@ -280,7 +333,9 @@ def to_detector_model(m: MixedProtocol) -> MixedLhv:
     the one the protocol induces.
 
     Leaves share tables and trees share weights, so each (table, input set)
-    pair is masked once and each distinct tree weight is scaled once.
+    pair is masked once and each distinct tree weight is scaled once. A
+    masked table of a checked leaf table is checked, so the models are built
+    without checking their tables again.
     """
     if m.flavor != SHARED:
         raise FlavorMismatch("conversion requires the shared-randomness flavor")
@@ -297,7 +352,7 @@ def to_detector_model(m: MixedProtocol) -> MixedLhv:
         for leaf, sets, bits in tree._walk():
             c = max(c, bits)
             if all(sets):
-                models.append(DeterministicLhv(tables=tuple(map(mask, leaf.lhv.tables, sets))))
+                models.append(DeterministicLhv._checked(tuple(map(mask, leaf.lhv.tables, sets))))
         claims.append((w, models))
     guesses = 1 << c
     slot = Fraction(1, guesses)
@@ -307,7 +362,7 @@ def to_detector_model(m: MixedProtocol) -> MixedLhv:
     for w, models in claims:
         if w not in scaled:
             scaled[w] = w * slot
-        components.extend((lhv, scaled[w]) for lhv in models)
+        components.extend(zip(models, itertools.repeat(scaled[w])))
         claimed_mass += w * len(models)
     # the tree weights sum to 1, so this is the mass of the unclaimed transcripts
     silent_weight = slot * (guesses - claimed_mass)

@@ -7,24 +7,34 @@ trees are ``{"node": {"party", "edges": [{"inputs", "child"}]}}`` or
 ``{"leaf": {"tables": [[entry, ...], ...]}}`` with explicit input blocks.
 
 Decoding a model or protocol file builds each distinct party table, weight
-payload, edge block, leaf model and subtree once: repeats reuse the first
-object, so a decoded tree may share subtrees. The intern tables live for
-one decoded file and are keyed on the raw JSON values together with their
-types (``true``, ``1`` and ``1.0`` are three keys), and only entries that
-decoded cleanly are kept, so a malformed entry raises the same
-``InvalidInput`` at every occurrence.
+payload, edge block, leaf and subtree once, and checks each distinct table
+once: repeats reuse the first object, so a decoded tree may share subtrees.
+The intern tables live for one decoded file. They are keyed on tuples of
+the raw JSON values, and that decode is kept only when one type scan finds
+every raw entry behind those keys an int or a str; a file that fails the
+scan is malformed and is decoded again on ``repr`` keys, where ``true``,
+``1`` and ``1.0`` are three keys. Only entries that decoded cleanly are
+kept, so a malformed entry raises the same ``InvalidInput`` at every
+occurrence.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Any, Callable, Union
+from typing import Any, Callable, Optional, Union
 
 from .cyclic import Subgroup
 from .errors import InvalidInput
-from .model import CorrelationProblem, DeterministicLhv, MixedLhv, OutcomeVector
+from .model import (
+    CorrelationProblem,
+    DeterministicLhv,
+    MixedLhv,
+    OutcomeVector,
+    _check_lhv_tables,
+)
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree
 
 NULL_CLICK = "null-click"
@@ -87,52 +97,82 @@ def _block_from_json(block: Any) -> frozenset[int]:
     return frozenset(_int_from_json(v, "edge input") for v in block)
 
 
-def _interned(cache: dict, raw: Any, decode: Callable[[Any], Any]) -> Any:
-    """``decode(raw)``, built once per distinct ``raw`` of ``cache``.
+def _tuples(raw: Any) -> tuple:
+    return tuple(map(tuple, raw))
 
-    The key is ``repr(raw)``: for parsed JSON it spells out every value with
-    its type (``[True, 1]``, ``[1.0, 1]`` and ``[1, 1]`` differ, though all
-    three compare equal), so two raws share a key only when they are the
-    same JSON. A raw that fails to decode is not stored and raises again."""
+
+def _items(raw: Any) -> tuple:
+    return tuple(raw.items())
+
+
+def _interned(
+    cache: dict, key: Callable[[Any], Any], raw: Any, decode: Callable[[Any], Any]
+) -> Any:
+    """``decode(raw)``, built once per distinct ``key(raw)`` in ``cache``."""
     try:
-        key = repr(raw)
+        k = key(raw)
     except ValueError:  # an int past the str conversion limit: decode, don't keep
         return decode(raw)
     try:
-        return cache[key]
+        return cache[k]
     except KeyError:
-        value = cache[key] = decode(raw)
+        value = cache[k] = decode(raw)
         return value
 
 
 class _Decoder:
-    """The intern tables of one decoded file."""
+    """The intern tables of one decoded file.
 
-    def __init__(self) -> None:
-        self.tables: dict[str, tuple] = {}
-        self.blocks: dict[str, frozenset[int]] = {}
-        self.weights: dict[str, Fraction] = {}
-        # keyed on decoded tables (checked ints and None only) or on the ids
-        # of the parts, which the cached objects hold and so keep alive
-        self.lhvs: dict[tuple, DeterministicLhv] = {}
-        self.leaves: dict[int, Leaf] = {}
-        self.edges: dict[tuple[int, int], Edge] = {}
+    Tables, leaves, edge blocks and weights are looked up by a key of their
+    raw JSON. With ``tuple_keys`` the key is the tuple of the raw values,
+    and the raws are kept for one type scan (:meth:`plain`): equal tuples
+    are the same JSON only when their entries are ints and strs
+    (``(True, 1) == (1.0, 1) == (1, 1)``). Otherwise the key is
+    ``repr(raw)``, which spells out every value with its type. A raw that
+    fails to decode is not stored and raises again.
+    """
+
+    def __init__(self, tuple_keys: bool) -> None:
+        self.key: Callable[[Any], Any] = tuple if tuple_keys else repr
+        self.tables_key: Callable[[Any], Any] = _tuples if tuple_keys else repr
+        self.weight_key: Callable[[Any], Any] = _items if tuple_keys else repr
+        #: the raw lists and weight values behind tuple keys, for the scan
+        self.seen: Optional[list] = [] if tuple_keys else None
+        self.tables: dict[Any, tuple] = {}
+        self.blocks: dict[Any, frozenset[int]] = {}
+        self.weights: dict[Any, Fraction] = {}
+        self.leaves: dict[Any, Leaf] = {}
+        self.valid: set[int] = set()  # ids of tables whose entries passed
+        # keyed on the ids of the parts, which the cached nodes hold and so
+        # keep alive
         self.nodes: dict[tuple, Node] = {}
 
+    def plain(self) -> bool:
+        """Whether every raw entry behind a tuple key is an int or a str."""
+        return set(map(type, itertools.chain.from_iterable(self.seen))) <= {int, str}
+
     def lhv(self, obj: Any) -> DeterministicLhv:
-        cache = self.tables
+        """A model; the tables are interned, not the model, as the components
+        of a converted model file are nearly all distinct."""
         raw = obj["tables"]
+        if self.seen is not None:
+            self.seen.extend(raw)
+        return self._lhv(raw)
+
+    def _lhv(self, raw: Any) -> DeterministicLhv:
+        cache = self.tables
         try:  # every table seen before: no Python-level call per table
-            tables = tuple(map(cache.__getitem__, map(repr, raw)))
+            tables = tuple(map(cache.__getitem__, map(self.key, raw)))
         except (KeyError, TypeError, ValueError):
-            tables = tuple(_interned(cache, t, _table_from_json) for t in raw)
-        lhv = self.lhvs.get(tables)
-        if lhv is None:
-            lhv = self.lhvs[tables] = DeterministicLhv(tables=tables)
-        return lhv
+            tables = tuple(_interned(cache, self.key, t, _table_from_json) for t in raw)
+        # each distinct table is checked once, however many models share it
+        _check_lhv_tables(tables, self.valid)
+        return DeterministicLhv._checked(tables)
 
     def weight(self, obj: Any) -> Fraction:
-        return _interned(self.weights, obj, fraction_from_json)
+        if self.seen is not None:
+            self.seen.append(obj.values())
+        return _interned(self.weights, self.weight_key, obj, fraction_from_json)
 
     def mixed_lhv(self, obj: Any) -> MixedLhv:
         return MixedLhv(
@@ -141,31 +181,36 @@ class _Decoder:
             )
         )
 
-    def edge(self, obj: Any) -> Edge:
-        inputs = _interned(self.blocks, obj["inputs"], _block_from_json)
-        child = self.node(obj["child"])
-        edge = self.edges.get((id(inputs), id(child)))
-        if edge is None:
-            edge = self.edges[id(inputs), id(child)] = Edge(inputs=inputs, child=child)
-        return edge
-
     def node(self, obj: Any) -> Union[Node, Leaf]:
         """A subtree; equal subtrees (a broadcast tree's subtrees depend on
-        few prefixes) decode to one shared object."""
+        few prefixes) decode to one shared object, keyed on the party and
+        the ids of its blocks and children."""
         if "leaf" in obj:
-            lhv = self.lhv(obj["leaf"])
-            leaf = self.leaves.get(id(lhv))
-            if leaf is None:
-                leaf = self.leaves[id(lhv)] = Leaf(lhv=lhv)
-            return leaf
+            raw = obj["leaf"]["tables"]
+            if self.seen is not None:
+                self.seen.extend(raw)
+            return _interned(self.leaves, self.tables_key, raw, self._leaf)
         node = obj["node"]
         party = _int_from_json(node["party"], "party")
-        edges = tuple(map(self.edge, node["edges"]))
-        key = (party, *map(id, edges))
+        parts: list = []  # block, child, block, child, ...
+        for e in node["edges"]:
+            raw = e["inputs"]
+            if self.seen is not None:
+                self.seen.append(raw)
+            inputs = _interned(self.blocks, self.key, raw, _block_from_json)
+            child = self.node(e["child"])
+            if not inputs:  # raises where the reference does, before the next edge
+                Edge(inputs, child)
+            parts += (inputs, child)
+        key = (party, *map(id, parts))
         v = self.nodes.get(key)
         if v is None:
+            edges = tuple(map(Edge, parts[::2], parts[1::2]))
             v = self.nodes[key] = Node(party=party, edges=edges)
         return v
+
+    def _leaf(self, raw: Any) -> Leaf:
+        return Leaf(lhv=self._lhv(raw))
 
     def tree(self, obj: Any) -> ProtocolTree:
         return ProtocolTree(
@@ -175,8 +220,24 @@ class _Decoder:
         )
 
 
+def _decode(build: Callable[[_Decoder], Any]) -> Any:
+    """``build`` run on tuple keys, kept when one type scan finds every raw
+    entry behind them an int or a str. Only a malformed file fails that
+    pass or the scan (a valid file holds no other entries); it is decoded
+    again on ``repr`` keys, the pass whose errors are the reference's."""
+    fast = _Decoder(tuple_keys=True)
+    try:
+        value = build(fast)
+    except Exception:  # any failure is decided again by the repr-key pass
+        pass
+    else:
+        if fast.plain():
+            return value
+    return build(_Decoder(tuple_keys=False))
+
+
 def lhv_from_json(obj: Any) -> DeterministicLhv:
-    return _Decoder().lhv(obj)
+    return _decode(lambda dec: dec.lhv(obj))
 
 
 def mixed_lhv_to_json(m: MixedLhv) -> dict:
@@ -189,7 +250,7 @@ def mixed_lhv_to_json(m: MixedLhv) -> dict:
 
 
 def mixed_lhv_from_json(obj: Any) -> MixedLhv:
-    return _Decoder().mixed_lhv(obj)
+    return _decode(lambda dec: dec.mixed_lhv(obj))
 
 
 def problem_to_json(p: CorrelationProblem) -> dict:
@@ -248,7 +309,7 @@ def tree_to_json(t: ProtocolTree) -> dict:
 
 
 def tree_from_json(obj: Any) -> ProtocolTree:
-    return _Decoder().tree(obj)
+    return _decode(lambda dec: dec.tree(obj))
 
 
 def mixed_protocol_to_json(m: MixedProtocol) -> dict:
@@ -262,12 +323,13 @@ def mixed_protocol_to_json(m: MixedProtocol) -> dict:
 
 
 def mixed_protocol_from_json(obj: Any) -> MixedProtocol:
-    dec = _Decoder()
-    return MixedProtocol(
-        components=tuple(
-            (dec.tree(c["tree"]), dec.weight(c["weight"])) for c in obj["components"]
-        ),
-        flavor=obj.get("flavor", "shared"),
+    return _decode(
+        lambda dec: MixedProtocol(
+            components=tuple(
+                (dec.tree(c["tree"]), dec.weight(c["weight"])) for c in obj["components"]
+            ),
+            flavor=obj.get("flavor", "shared"),
+        )
     )
 
 

@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_click_lhv, random_mixed_lhv
-from nonlocal_lab.errors import DivisionByZeroEfficiency, InvalidInput
+from nonlocal_lab.errors import ArityMismatch, DivisionByZeroEfficiency, InvalidInput
 from nonlocal_lab.ghz import GhzInstance, ghz_problem
 from nonlocal_lab.model import (
     CorrelationProblem,
     DeterministicLhv,
     MixedLhv,
+    _check_lhv_tables,
     all_click,
     detection_efficiency,
     error_probability,
@@ -103,6 +104,59 @@ def test_mixture_weights_must_sum_to_one_exactly():
     assert [w for _, w in exact.components] == [F(1, 3), F(1, 6), F(1, 2)]
     big = MixedLhv(components=tuple((lhv, F(1, 16384)) for lhv in lhvs[:1] * 16384))
     assert len(big.components) == 16384
+
+
+def test_mixture_checks_each_distinct_model_and_weight_once_and_counts_them():
+    zero, one = const_lhv(2, 2, 0), const_lhv(2, 2, 1)
+    quarter = F(1, 4)
+    # one weight object shared by three components, and an equal distinct one
+    m = MixedLhv(components=((zero, quarter), (one, quarter), (zero, quarter), (one, F(1, 4))))
+    assert [w for _, w in m.components] == [F(1, 4)] * 4
+    third = F(1, 3)
+    with pytest.raises(InvalidInput, match="^component weights must sum to 1$"):
+        MixedLhv(components=((zero, third), (one, third)))
+    with pytest.raises(InvalidInput, match="^component weights must be positive$"):
+        MixedLhv(components=((zero, F(1)), (one, F(0)), (zero, F(0))))
+    # a model of another shape after many components sharing one model
+    wide = const_lhv(2, 3, 0)
+    components = ((zero, F(1, 8)),) * 7 + ((wide, F(1, 8)),)
+    with pytest.raises(ArityMismatch, match=r"^all components must share \(n, k\)$"):
+        MixedLhv(components=components)
+    with pytest.raises(ArityMismatch):
+        MixedLhv(components=((zero, F(1, 2)), (const_lhv(3, 2, 0), F(1, 2))))
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        ((True, 1.0), (0, 0)),
+        ((True, 1), (1, 1)),
+        ((1, 0), (False, 0)),
+        ((1.0, 0),),
+        (("1", 0),),
+        ((-1, 0),),
+    ],
+    ids=repr,
+)
+def test_deterministic_model_refuses_bool_and_non_int_entries(tables):
+    with pytest.raises(InvalidInput, match="^outputs must be None or nonnegative ints$"):
+        DeterministicLhv(tables=tables)
+
+
+def test_checked_tables_are_remembered_by_identity_not_value():
+    # (True, 1) equals (1, 1) and hashes alike, so a cache keyed on values
+    # would take one for the other
+    good, lookalike = (1, 1), (True, 1)
+    assert good == lookalike and hash(good) == hash(lookalike)
+    valid: set[int] = set()
+    _check_lhv_tables((good, (0, None)), valid)
+    assert id(good) in valid
+    with pytest.raises(InvalidInput, match="^outputs must be None or nonnegative ints$"):
+        _check_lhv_tables((lookalike, (0, None)), valid)
+    # a remembered table still has its length checked against the others
+    with pytest.raises(InvalidInput, match="^party tables must share one input range$"):
+        _check_lhv_tables((good, (0,)), valid)
+    assert DeterministicLhv(tables=(good, (0, None))).tables == ((1, 1), (0, None))
 
 
 def test_detection_efficiency_zero_when_one_party_never_clicks():
@@ -301,6 +355,20 @@ def test_problem_accepts_int_entries_and_checks_every_row_sum():
     # an empty row sums to 0
     with pytest.raises(InvalidInput, match=r"^target at \(1, 1\) sums to 0, expected 1$"):
         CorrelationProblem(n=2, k=2, l=2, mu=mu, target={**{x: ints for x in mu}, (1, 1): {}})
+
+
+@pytest.mark.parametrize("stray", [(7,), (0, 2), (0, 0, 0), (-1, 0), 7], ids=repr)
+def test_problem_refuses_a_target_row_outside_the_inputs(stray):
+    mu = {(0, 0): F(1, 2), (0, 1): F(1, 2)}
+    row = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    with pytest.raises(
+        InvalidInput,
+        match=rf"^target row for {re.escape(repr(stray))} outside \{{0\.\.1\}}\^2$",
+    ):
+        CorrelationProblem(n=2, k=2, l=2, mu=mu, target={(0, 0): row, (0, 1): row, stray: row})
+    # a row of an input in range but outside the support is kept
+    problem = CorrelationProblem(n=2, k=2, l=2, mu=mu, target={(0, 0): row, (0, 1): row, (1, 1): row})
+    assert problem.target_prob((1, 1), (0, 0)) == F(1, 2)
 
 
 def test_problem_validation_rejects_malformed_target_outcomes():

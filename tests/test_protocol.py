@@ -33,6 +33,7 @@ from nonlocal_lab.model import (
     uniform_problem,
 )
 from nonlocal_lab.protocol import (
+    CostReport,
     Edge,
     Leaf,
     MixedProtocol,
@@ -40,6 +41,7 @@ from nonlocal_lab.protocol import (
     ProtocolTree,
     cost,
     cost_details,
+    distinct_leaves,
     execute,
     induced_distribution,
     induced_metrics,
@@ -51,6 +53,7 @@ from nonlocal_lab.serialize import (
     mixed_protocol_from_json,
     mixed_protocol_to_json,
     tree_from_json,
+    tree_to_json,
 )
 
 F = Fraction
@@ -313,8 +316,9 @@ def test_induced_distribution_point_mass_and_average():
 
 def test_arity_mismatch():
     tree = ProtocolTree(n=2, k=2, root=leaf(((0, 0), (0, 0))))
-    with pytest.raises(ArityMismatch):
-        execute(tree, (0, 1, 1))
+    for x in ((0, 1, 1), (0, 2), (0, -1), (0.5, 0)):
+        with pytest.raises(ArityMismatch):
+            execute(tree, x)
     with pytest.raises(ArityMismatch):
         induced_distribution(
             MixedProtocol(components=((tree, F(1)),)), uniform_problem(3, 2)
@@ -487,3 +491,106 @@ def test_induced_metrics_refuse_a_shape_mismatch():
     with pytest.raises(ArityMismatch) as got:
         induced_metrics(mp, problem)
     assert str(got.value) == str(expected.value) == "protocol is (3, 2) but problem is (4, 2)"
+
+
+def node_counts(tree):
+    """(distinct node and leaf objects, node and leaf occurrences of the
+    expanded tree)."""
+    seen, expanded, stack = set(), 0, [tree.root]
+    while stack:
+        v = stack.pop()
+        seen.add(id(v))
+        expanded += 1
+        if isinstance(v, Node):
+            stack.extend(e.child for e in v.edges)
+    return len(seen), expanded
+
+
+def dag_cases():
+    """``conversion_cases`` plus decoded files whose trees are DAGs: the
+    broadcast at n=5, k=4 has 27 distinct nodes for 1,365 expanded ones, and
+    the shared-randomness broadcast at n=4, k=4 has 152 for 2,728."""
+    broadcast = broadcast_strategy(GhzInstance(n=5, k=4))
+    decoded = tree_from_json(json.loads(dumps(tree_to_json(broadcast))))
+    assert node_counts(decoded) == (27, 1365)
+    mixed = broadcast_strategy_mixed(GhzInstance(n=4, k=4))
+    decoded_mixed = mixed_protocol_from_json(json.loads(dumps(mixed_protocol_to_json(mixed))))
+    counts = [node_counts(t) for t, _ in decoded_mixed.components]
+    assert tuple(map(sum, zip(*counts))) == (152, 2728)
+    return [*conversion_cases(), MixedProtocol(components=((decoded, F(1)),)), decoded_mixed]
+
+
+def test_per_leaf_costs_match_the_expanded_walk():
+    cases = dag_cases()
+    assert any(len(t.leaf_input_sets()) < len(t.leaves()) for mp in cases for t, _ in mp.components)
+    for mp in cases:
+        for tree, _ in mp.components:
+            details = cost_details(tree)
+            assert details.per_leaf == tuple(bits for _, _, bits in tree._walk())
+            assert details.worst_case == max(details.per_leaf)
+
+
+def test_distinct_leaves_are_the_expanded_walks_leaves_in_first_seen_order():
+    for mp in dag_cases():
+        trees = [t for t, _ in mp.components]
+        expanded = [leaf for t in trees for leaf, _, _ in t._walk()]
+        first_seen = list({id(leaf): leaf for leaf in expanded}.values())
+        got = distinct_leaves(trees)
+        assert [id(leaf) for leaf in got] == [id(leaf) for leaf in first_seen]
+
+
+def test_detector_model_of_dag_files_matches_the_reference():
+    # the decoded DAG files; the other cases are the per-component conversion test's
+    for mp in dag_cases()[-2:]:
+        assert to_detector_model(mp) == reference_detector_model(mp)
+
+
+def test_unreachable_paths_are_still_charged():
+    # party 0 splits {0}, {1} twice in a row; below the second split's {1}
+    # edge (unreachable after the first split's {0}) party 1 splits again.
+    # The benchmark's oracle charges such paths too, so both keep doing so
+    # until they change together.
+    split_1 = Node(
+        party=1,
+        edges=(
+            Edge(inputs=frozenset({0}), child=leaf(((0, 0), (0, 0)))),
+            Edge(inputs=frozenset({1}), child=leaf(((0, 0), (1, 1)))),
+        ),
+    )
+    again = Node(
+        party=0,
+        edges=(
+            Edge(inputs=frozenset({0}), child=leaf(((0, 0), (0, 0)))),
+            Edge(inputs=frozenset({1}), child=split_1),
+        ),
+    )
+    root = Node(
+        party=0,
+        edges=(
+            Edge(inputs=frozenset({0}), child=again),
+            Edge(inputs=frozenset({1}), child=leaf(((1, 1), (0, 0)))),
+        ),
+    )
+    tree = ProtocolTree(n=2, k=2, root=root)
+    details = cost_details(tree)
+    assert details.per_leaf == (2, 3, 3, 1)
+    assert details.worst_case == 3
+    mp = MixedProtocol(components=((tree, F(1)),))
+    assert mixed_lhv_metrics(to_detector_model(mp), uniform_problem(2, 2)).eta_n == F(1, 8)
+
+
+def test_cost_and_leaves_of_a_chain_deeper_than_the_recursion_limit():
+    # single-edge nodes charge nothing; the split at the bottom charges 1 bit
+    both = frozenset({0, 1})
+    v = Node(
+        party=0,
+        edges=(
+            Edge(inputs=frozenset({0}), child=leaf(((0, 0),))),
+            Edge(inputs=frozenset({1}), child=leaf(((1, 1),))),
+        ),
+    )
+    for _ in range(3000):
+        v = Node(party=0, edges=(Edge(inputs=both, child=v),))
+    tree = ProtocolTree(n=1, k=2, root=v)
+    assert cost_details(tree) == CostReport(worst_case=1, per_leaf=(1, 1))
+    assert len(distinct_leaves([tree])) == 2

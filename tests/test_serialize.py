@@ -242,6 +242,37 @@ def test_a_malformed_table_after_its_valid_lookalike_is_rejected(case):
         assert str(info.value) == text
 
 
+def test_tuple_keys_are_kept_only_when_the_type_scan_finds_ints_and_strs():
+    good = [[[0, 1], [1, 1]], [[1, 1], [0, "null-click"]]]
+    payload = json.loads(json.dumps(model_with(good)))
+    fast = serialize._Decoder(tuple_keys=True)
+    assert fast.mixed_lhv(payload) == reference_mixed_lhv_from_json(payload)
+    assert fast.plain()
+    for bad in ([True, 1], [1.0, 1]):
+        # the lookalike equals [1, 1] as a tuple, so the tuple-keyed pass
+        # takes it for the cached table; the scan is what refuses that pass
+        tables = good + [[[0, 1], bad]]
+        payload = json.loads(json.dumps(model_with(tables)))
+        fast = serialize._Decoder(tuple_keys=True)
+        fast.mixed_lhv(payload)
+        assert not fast.plain()
+        with pytest.raises(InvalidInput, match="^outcome entries must be ints"):
+            serialize.mixed_lhv_from_json(payload)
+    for weight in ({"num": True, "den": 3}, {"num": 1.0, "den": 3}):
+        weights = [{"num": 1, "den": 3}, weight, {"num": 1, "den": 3}]
+        payload = json.loads(json.dumps(model_with(good + good[:1], weights)))
+        fast = serialize._Decoder(tuple_keys=True)
+        fast.mixed_lhv(payload)
+        assert not fast.plain()
+        with pytest.raises(InvalidInput, match="^num and den must be integer strings"):
+            serialize.mixed_lhv_from_json(payload)
+    # a weight the tuple-keyed pass cannot even key gets the reference's error
+    payload = json.loads(json.dumps(model_with(good, [{"num": 1, "den": 2}, [1, 2]])))
+    for decode in (serialize.mixed_lhv_from_json, reference_mixed_lhv_from_json):
+        with pytest.raises(InvalidInput, match=r"^not a rational payload: \[1, 2\]$"):
+            decode(payload)
+
+
 @pytest.mark.parametrize(
     "good,bad",
     [
