@@ -38,11 +38,13 @@ def main() -> None:
           f"{quantum_probability(inst, (1, 0, 0), (0, 0, 0)):.6f}\n")
 
     print("Exhaustive agreement between the amplitude computation and the")
-    print("ideal target over every valid input and click outcome:")
+    print("ideal target over every valid input (one per orbit under permuting")
+    print("parties) and click outcome, as probabilities and times 2^(n-1):")
     for n in range(2, 7):
         for k in (2, 4, 8):
             dev = equivalence_max_deviation(GhzInstance(n=n, k=k))
-            print(f"  n={n} k={k}: max |quantum - target| = {dev:.3e}")
+            print(f"  n={n} k={k}: max |quantum - target| = {dev.absolute:.3e},"
+                  f" times 2^(n-1) {dev.relative:.3e}")
 
     problem = ghz_problem(inst)
     print(f"\nInduced correlation problem: {len(problem.support)} valid inputs,")

@@ -7,6 +7,8 @@ Submodules:
   efficiency/error metrics (exact rationals throughout).
 * :mod:`nonlocal_lab.ghz`: the GHZ measurement scenario, its ideal target
   correlations, and broadcast strategies that reproduce them.
+* :mod:`nonlocal_lab.orbits`: the valid inputs up to permuting parties,
+  one sorted representative and multiplicity per orbit.
 * :mod:`nonlocal_lab.protocol`: broadcast protocol trees, cost accounting,
   and the conversion into inefficient-detector local models.
 * :mod:`nonlocal_lab.rectangles`: rectangle advantage/bias combinatorics and
@@ -56,6 +58,7 @@ from .model import (
     uniform_problem,
 )
 from .ghz import (
+    Deviation,
     GhzInstance,
     PhaseMeasurement,
     broadcast_prefix_stats,

@@ -32,6 +32,7 @@ from .errors import (
     NotPowerOfTwo,
     TooFewSets,
     check_budget,
+    printable,
     table_fits,
 )
 
@@ -101,27 +102,33 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_quantum(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    count = ghz.check_input_budget(inst, args.budget)
-    if args.export_problem:
+    ghz.check_orbit_budget(inst, args.budget)
+    if args.export_problem:  # a per-input problem, under the valid-input budget
         problem = ghz.ghz_problem(inst, budget=args.budget)
         _write_text(args.export_problem, serialize.dumps(serialize.problem_to_json(problem)))
-    max_dev = ghz.equivalence_max_deviation(inst)
+    dev = ghz.equivalence_max_deviation(inst)
+    count = inst.valid_input_count()
     table: Optional[list[dict]] = None
     if table_fits(count * 2**inst.n, args.budget):
+        outcomes = list(itertools.product(range(2), repeat=inst.n))
         table = []
         for x in ghz.valid_inputs(inst):
-            for a in itertools.product(range(2), repeat=inst.n):
-                q = ghz.quantum_probability(inst, x, a)
-                t = ghz.target_probability(inst, x, a)
-                table.append(
-                    {"x": list(x), "a": list(a), "quantum": q, "target": t}
-                )
-    passed = max_dev < ghz.AMPLITUDE_TOLERANCE
+            # an outcome enters only through its parity, and its sign flips
+            # are exact: one probability per parity, outcomes[0] and [1]
+            per_parity = [
+                (ghz.quantum_probability(inst, x, a), ghz.target_probability(inst, x, a))
+                for a in outcomes[:2]
+            ]
+            for a in outcomes:
+                q, t = per_parity[sum(a) % 2]
+                table.append({"x": list(x), "a": list(a), "quantum": q, "target": t})
+    passed = dev.relative < ghz.AMPLITUDE_TOLERANCE
     report = {
         "command": "quantum",
         "params": {"n": args.n, "k": args.k, "budget": args.budget},
-        "valid_inputs": count,
-        "max_deviation": max_dev,
+        "valid_inputs": printable(count, f"{inst.k}^{inst.n - 1}"),
+        "max_deviation": dev.absolute,
+        "max_relative_deviation": dev.relative,
         "tolerance": ghz.AMPLITUDE_TOLERANCE,
         "table": table,
         "passed": passed,

@@ -39,6 +39,16 @@ def table_fits(count: int, budget: int) -> bool:
     return count <= min(budget, TABLE_LIMIT)
 
 
+def printable(count: int, formula: str) -> int | str:
+    """``count``, or ``formula`` (such as ``3^10000``) when it has more
+    digits than CPython converts to text."""
+    try:
+        str(count)
+    except ValueError:
+        return formula
+    return count
+
+
 def check_budget(
     count_at: Callable[[int], int],
     size: int,
@@ -61,10 +71,6 @@ def check_budget(
     count = count_at(size)
     if count <= budget:
         return count
-    try:
-        count_txt = str(count)
-    except ValueError:
-        count_txt = formula
     lo, hi = 0, 1
     while count_at(hi) <= budget:
         lo, hi = hi, 2 * hi
@@ -73,6 +79,7 @@ def check_budget(
         lo, hi = (mid, hi) if count_at(mid) <= budget else (lo, mid)
     fits = f"fits at {at}"
     closing = f"the largest {name} that {fits} is {lo}" if lo >= least else f"no {name} {fits}"
+    count_txt = printable(count, formula)
     raise BudgetExceeded(f"{count_txt} {noun} exceed the budget of {budget}; {closing}")
 
 

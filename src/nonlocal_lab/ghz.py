@@ -17,8 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
+from . import orbits
 from .cyclic import indicator, power
 from .errors import DEFAULT_BUDGET, CrossCheckMismatch, InvalidInput, LengthMismatch, check_budget
 from .model import CorrelationProblem, DeterministicLhv, InputVector, OutcomeVector, ZERO
@@ -31,6 +32,13 @@ OUTPUTS = 2
 AMPLITUDE_TOLERANCE = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+#: the direct route's overlaps shrink by 1/sqrt(2) per party; below
+#: 2**-_RESCALE_BITS both are scaled up by 2**_RESCALE_BITS, which is exact,
+#: so they never underflow
+_RESCALE_BITS = 512
+_RESCALE_BELOW = math.ldexp(1.0, -_RESCALE_BITS)
+_RESCALE_BY = math.ldexp(1.0, _RESCALE_BITS)
 
 
 @dataclass(frozen=True)
@@ -125,27 +133,41 @@ def _phase_table(k: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(-1j * math.pi * v / k) for v in range(k))
 
 
-def quantum_probability(inst: GhzInstance, x: Sequence[int], a: Sequence[int]) -> float:
-    """Born probability of click outcome ``a`` on input ``x``.
+def quantum_probability(
+    inst: GhzInstance, x: Sequence[int], a: Sequence[int], scaled: bool = False
+) -> float:
+    """Born probability of click outcome ``a`` on input ``x``, or with
+    ``scaled`` that probability times 2**(n-1), the scale on which the
+    parity target is 0 or 1 and which stays representable at every n.
 
     Computed as an explicit amplitude inner product against the two nonzero
     amplitudes of the shared state (per-party overlap products, never a full
-    2**n state vector), then checked against the cosine closed form.
+    2**n state vector), then checked against the cosine closed form on the
+    2**(n-1) scale, so the check keeps its meaning when the probability
+    itself is far below the tolerance.
     """
     _check_input(inst, x)
     _check_click_outcome(inst, a)
     overlap_zero = 1 + 0j
     overlap_one = 1 + 0j
+    shift = 0  # both overlaps are held times 2**shift
     for xi, ai in zip(x, a):
         b0, b1 = PhaseMeasurement(setting=xi, k=inst.k).bra(ai)
         overlap_zero *= b0
         overlap_one *= b1
+        if overlap_zero.real < _RESCALE_BELOW:
+            overlap_zero *= _RESCALE_BY
+            overlap_one *= _RESCALE_BY
+            shift += _RESCALE_BITS
     amp = (overlap_zero + overlap_one) * _INV_SQRT2
-    p = amp.real * amp.real + amp.imag * amp.imag
-    closed = (1.0 + math.cos(math.pi * (sum(a) - sum(x) / inst.k))) / 2**inst.n
-    if abs(p - closed) > AMPLITUDE_TOLERANCE:
-        raise CrossCheckMismatch(f"amplitude {p} differs from the closed form {closed}")
-    return p
+    held = amp.real * amp.real + amp.imag * amp.imag  # the probability times 4**shift
+    relative = math.ldexp(held, inst.n - 1 - 2 * shift)
+    closed = (1.0 + math.cos(math.pi * (sum(a) - sum(x) / inst.k))) / 2
+    if abs(relative - closed) > AMPLITUDE_TOLERANCE:
+        raise CrossCheckMismatch(
+            f"amplitude {relative} differs from the closed form {closed} (times 2^{inst.n - 1})"
+        )
+    return relative if scaled else math.ldexp(held, -2 * shift)
 
 
 def valid_inputs(inst: GhzInstance) -> Iterator[InputVector]:
@@ -160,6 +182,20 @@ def check_input_budget(inst: GhzInstance, budget: int) -> int:
     k = inst.k
     return check_budget(
         lambda m: k ** (m - 1), inst.n, budget, "valid inputs", f"{k}^{inst.n - 1}", f"k={k}"
+    )
+
+
+def check_orbit_budget(inst: GhzInstance, budget: int) -> int:
+    """The work of :func:`equivalence_max_deviation`, C(n+k-1, k-1)
+    multisets times n overlap factors, refused over ``budget``."""
+    n, k = inst.n, inst.k
+    return check_budget(
+        lambda m: orbits.orbit_pass_size(m, k),
+        n,
+        budget,
+        "overlap factors",
+        f"C({n + k - 1},{k - 1})*{n}",
+        f"k={k}",
     )
 
 
@@ -185,43 +221,63 @@ def ghz_problem(inst: GhzInstance, budget: int = DEFAULT_BUDGET) -> CorrelationP
     return CorrelationProblem(n=n, k=inst.k, l=OUTPUTS, mu=mu, target=target)
 
 
-def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) -> float:
-    """Largest |quantum - target| over all valid inputs and click outcomes.
+class Deviation(NamedTuple):
+    """Largest |quantum - target| over the valid inputs and click outcomes,
+    as probabilities and on the 2**(n-1) scale, where the target is 0 or 1.
+    Only the second decides: no target exceeds 2**-(n-1), below the
+    tolerance from n=41, so there even an all-zero amplitude passes the
+    first."""
 
-    An outcome enters the amplitude only through its parity, the sign of the
-    |1...1> branch, so one overlap product per input gives one probability
-    per parity class. The first (input, parity) pair and every
-    ``cross_check_stride``-th after it are re-derived through
-    :func:`quantum_probability` on an outcome of that parity.
+    absolute: float
+    relative: float
+
+
+def equivalence_max_deviation(inst: GhzInstance, cross_check_stride: int = 257) -> Deviation:
+    """Largest deviation of the Born probabilities from the parity target.
+
+    Both depend on an input only up to permuting parties, so one overlap
+    product per valid-input orbit, over its sorted representative, stands
+    for every member. An outcome enters the amplitude only through its
+    parity, the sign of the |1...1> branch, so that product gives one
+    probability per parity class. The relative figure comes from the
+    unit-modulus product before the 2**(-n/2) scale, so nothing underflows.
+    The first (orbit, parity) pair and every ``cross_check_stride``-th after
+    it are re-derived through :func:`quantum_probability`, on the reversed
+    representative and an outcome of that parity, so the direct route sees
+    party orders other than the sorted one.
     """
     n, k = inst.n, inst.k
     phases = _phase_table(k)
     scale = _INV_SQRT2 ** n
-    p_allowed = 1.0 / 2 ** (n - 1)
-    worst = 0.0
+    p_allowed = math.ldexp(1.0, 1 - n)
+    worst = worst_relative = 0.0
     seen = 0
-    for x in valid_inputs(inst):
-        overlap_one = 1 + 0j
-        for xi in x:
-            overlap_one *= phases[xi]
-        overlap_one *= scale
-        bit = (sum(x) % (2 * k)) // k
+    for rep, _ in orbits.valid_input_orbits(n, k):
+        unit = 1 + 0j
+        for xi in rep:
+            unit *= phases[xi]
+        overlap_one = unit * scale
+        bit = (sum(rep) % (2 * k)) // k
         for parity, sign in ((0, 1.0), (1, -1.0)):
             amp = (scale + sign * overlap_one) * _INV_SQRT2
             p = amp.real * amp.real + amp.imag * amp.imag
-            t = p_allowed if parity == bit else 0.0
-            dev = abs(p - t)
-            if dev > worst:
-                worst = dev
+            allowed = parity == bit
+            worst = max(worst, abs(p - (p_allowed if allowed else 0.0)))
+            half = (1.0 + sign * unit) * 0.5  # amp times 2**((n-1)/2)
+            relative = half.real * half.real + half.imag * half.imag
+            worst_relative = max(worst_relative, abs(relative - (1.0 if allowed else 0.0)))
             if seen % cross_check_stride == 0:  # the first pair, then every stride-th
+                x = rep[::-1]
                 head = tuple(v & 1 for v in x[:-1])  # so the outcome varies with x
-                direct = quantum_probability(inst, x, head + ((sum(head) + parity) % 2,))
-                if abs(direct - p) > AMPLITUDE_TOLERANCE:
+                a = head + ((sum(head) + parity) % 2,)
+                direct = quantum_probability(inst, x, a, scaled=True)
+                if abs(direct - relative) > AMPLITUDE_TOLERANCE:
                     raise CrossCheckMismatch(
-                        f"per-input product {p} differs from the direct {direct} at {x}"
+                        f"orbit product {relative} differs from the direct {direct} at {x}"
+                        f" (times 2^{n - 1})"
                     )
             seen += 1
-    return worst
+    return Deviation(worst, worst_relative)
 
 
 def _full_sum_counts(parties: int, modulus: int, k: int) -> list[int]:

@@ -4,6 +4,7 @@ import csv
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_mixed_lhv
-from nonlocal_lab import cyclic, serialize
+from nonlocal_lab import cyclic, ghz, serialize
 from nonlocal_lab.cli import main
 from nonlocal_lab.errors import TABLE_LIMIT
 from nonlocal_lab.ghz import GhzInstance, broadcast_strategy
@@ -454,9 +455,10 @@ def test_search_past_the_budget_fails_fast():
         (("search", "--n", "30", "--k", "2"),
          "42391158275216203514294433201 strategies exceed the budget of 10000000; "
          "the largest n that fits at k=2 is 7"),
+        # the orbit pass: C(n+1, 1) multisets of settings times n overlap factors
         (("quantum", "--n", "20000", "--k", "2"),
-         "2^19999 valid inputs exceed the budget of 10000000; "
-         "the largest n that fits at k=2 is 24"),
+         "400020000 overlap factors exceed the budget of 10000000; "
+         "the largest n that fits at k=2 is 3161"),
         # the scan refuses before the broadcast prefixes are computed
         (("tradeoff", "--n", "20000", "--k", "2"),
          "200030001 rectangle classes exceed the budget of 10000000; "
@@ -509,6 +511,81 @@ def test_quantum_walks_two_parity_classes_per_input():
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["passed"] is True
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4), (3, 8)],
+)
+def test_quantum_table_matches_the_per_row_table(capsys, n, k):
+    # one amplitude per (input, parity) gives every row bit for bit
+    code, out, _ = run_cli(capsys, "quantum", "--n", str(n), "--k", str(k))
+    inst = GhzInstance(n=n, k=k)
+    expected = [
+        {
+            "x": list(x),
+            "a": list(a),
+            "quantum": ghz.quantum_probability(inst, x, a),
+            "target": serialize.fraction_to_json(ghz.target_probability(inst, x, a)),
+        }
+        for x in ghz.valid_inputs(inst)
+        for a in itertools.product(range(2), repeat=n)
+    ]
+    assert code == 0 and json.loads(out)["table"] == expected
+
+
+@pytest.mark.parametrize("n,k", [(30, 2), (200, 2), (60, 4)])
+def test_quantum_runs_past_the_valid_input_budget(capsys, n, k):
+    code, out, err = run_cli(capsys, "quantum", "--n", str(n), "--k", str(k))
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["passed"] is True and report["valid_inputs"] == k ** (n - 1)
+    assert report["max_relative_deviation"] < report["tolerance"]
+
+
+def test_quantum_export_keeps_the_valid_input_budget(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "quantum", "--n", "30", "--k", "2", "--export-problem", str(tmp_path / "p.json")
+    )
+    assert_one_line_exit_two(code, out, err, "BudgetExceeded")
+    assert err == (
+        "BudgetExceeded: 536870912 valid inputs exceed the budget of 10000000; "
+        "the largest n that fits at k=2 is 24\n"
+    )
+
+
+def test_quantum_at_the_largest_n_that_fits_and_one_above(capsys):
+    # past n=1024 2**n does not convert to a float, and near n=2150 the
+    # per-party overlaps underflow: still a verdict, never a traceback
+    code, out, err = run_cli(capsys, "quantum", "--n", "3161", "--k", "2")
+    report = json.loads(out)
+    assert code == 0 and err == "" and out.count("\n") == 1
+    assert report["passed"] is True and report["valid_inputs"] == 2**3160
+    code, out, err = run_cli(capsys, "quantum", "--n", "3162", "--k", "2")
+    assert_one_line_exit_two(code, out, err, "BudgetExceeded")
+    assert err.endswith("the largest n that fits at k=2 is 3161\n")
+
+
+def test_quantum_prints_a_huge_valid_input_count_as_a_power(capsys, monkeypatch):
+    # 2**19999 has more digits than CPython prints; the orbit pass is stubbed
+    monkeypatch.setattr(ghz, "equivalence_max_deviation", lambda inst: ghz.Deviation(0.0, 0.0))
+    code, out, _ = run_cli(capsys, "quantum", "--n", "20000", "--k", "2", "--budget", str(10**9))
+    assert code == 0 and json.loads(out)["valid_inputs"] == "2^19999"
+
+
+def test_quantum_fails_on_a_relative_error_at_n_60(capsys, monkeypatch):
+    # each would pass a rule that compares probabilities absolutely: at
+    # n=60 no probability exceeds 2**-59, about 1.7e-18
+    exact = ghz._phase_table(4)
+    monkeypatch.setattr(ghz, "_phase_table", lambda k: tuple(z * (1 + 1e-9) for z in exact))
+    code, out, err = run_cli(capsys, "quantum", "--n", "60", "--k", "4")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("CrossCheckMismatch: orbit product")
+    monkeypatch.undo()
+    monkeypatch.setattr(ghz, "_INV_SQRT2", 0.0)  # an all-zero amplitude
+    code, out, err = run_cli(capsys, "quantum", "--n", "60", "--k", "4")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("CrossCheckMismatch: amplitude 0.0 differs from the closed form 1.0")
 
 
 def test_cross_check_mismatch_exits_one(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonlocal_lab import ghz
+from nonlocal_lab import ghz, orbits
 from nonlocal_lab.errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -123,16 +123,44 @@ def test_promise_equivalence_small_exhaustive():
                 q = quantum_probability(inst, x, a)
                 t = float(target_probability(inst, x, a))
                 assert abs(q - t) < AMPLITUDE_TOLERANCE
-        assert equivalence_max_deviation(inst) < AMPLITUDE_TOLERANCE
+        assert max(equivalence_max_deviation(inst)) < AMPLITUDE_TOLERANCE
 
 
-def per_outcome_max_deviation(inst):
+def per_outcome_max_deviation(inst, inputs=None):
     """Oracle: the per-outcome loop that equivalence_max_deviation replaced,
-    one probability for each of the 2**n outcomes of every valid input."""
+    one probability for each of the 2**n outcomes of every input in
+    ``inputs`` (by default every valid input), as a probability and times
+    2**(n-1)."""
     n, k = inst.n, inst.k
     phases = ghz._phase_table(k)
     scale = ghz._INV_SQRT2**n
     parities = tuple(bin(m).count("1") & 1 for m in range(2**n))
+    p_allowed = 1.0 / 2 ** (n - 1)
+    worst = worst_relative = 0.0
+    for x in valid_inputs(inst) if inputs is None else inputs:
+        unit = 1 + 0j
+        for xi in x:
+            unit *= phases[xi]
+        overlap_one = unit * scale
+        bit = (sum(x) % (2 * k)) // k
+        for m in range(2**n):
+            sign = -1.0 if parities[m] else 1.0
+            amp = (scale + sign * overlap_one) * ghz._INV_SQRT2
+            p = amp.real * amp.real + amp.imag * amp.imag
+            t = p_allowed if parities[m] == bit else 0.0
+            worst = max(worst, abs(p - t))
+            half = (1.0 + sign * unit) / 2
+            relative = half.real * half.real + half.imag * half.imag
+            worst_relative = max(worst_relative, abs(relative - (t != 0.0)))
+    return worst, worst_relative
+
+
+def per_input_max_deviation(inst):
+    """Oracle: the walk over every valid input, one overlap product in party
+    order and one probability per parity, that the orbit pass replaced."""
+    n, k = inst.n, inst.k
+    phases = ghz._phase_table(k)
+    scale = ghz._INV_SQRT2**n
     p_allowed = 1.0 / 2 ** (n - 1)
     worst = 0.0
     for x in valid_inputs(inst):
@@ -141,49 +169,133 @@ def per_outcome_max_deviation(inst):
             overlap_one *= phases[xi]
         overlap_one *= scale
         bit = (sum(x) % (2 * k)) // k
-        for m in range(2**n):
-            sign = -1.0 if parities[m] else 1.0
+        for parity, sign in ((0, 1.0), (1, -1.0)):
             amp = (scale + sign * overlap_one) * ghz._INV_SQRT2
             p = amp.real * amp.real + amp.imag * amp.imag
-            t = p_allowed if parities[m] == bit else 0.0
-            worst = max(worst, abs(p - t))
+            worst = max(worst, abs(p - (p_allowed if parity == bit else 0.0)))
     return worst
 
 
+#: every size with k <= 16 and at most 2**16 (input, outcome) points
+WALK_SIZES = [
+    (n, k) for k in range(2, 17) for n in range(2, 17) if k ** (n - 1) * 2**n <= 1 << 16
+]
+
+#: the sizes where the walk's maximum comes from a member other than the
+#: sorted one, one rounding step above the orbit pass
+UNSORTED_MAXIMUM = {(3, 5), (4, 7), (4, 9)}
+
+
 def test_two_parity_classes_match_the_per_outcome_oracle():
-    # every size with k <= 16 and at most 2**16 (input, outcome) points
-    sizes = [
-        (n, k) for k in range(2, 17) for n in range(2, 17) if k ** (n - 1) * 2**n <= 1 << 16
-    ]
-    assert len(sizes) == 55
-    for n, k in sizes:
+    assert len(WALK_SIZES) == 55
+    for n, k in WALK_SIZES:
         inst = GhzInstance(n=n, k=k)
-        assert equivalence_max_deviation(inst) == per_outcome_max_deviation(inst), (n, k)
+        dev = equivalence_max_deviation(inst)
+        reps = [rep for rep, _ in orbits.valid_input_orbits(n, k)]
+        assert dev == per_outcome_max_deviation(inst, reps), (n, k)
+        walk = per_input_max_deviation(inst)
+        assert walk == per_outcome_max_deviation(inst)[0], (n, k)
+        assert dev.absolute <= walk and max(dev) < AMPLITUDE_TOLERANCE, (n, k)
+        assert (dev.absolute < walk) == ((n, k) in UNSORTED_MAXIMUM), (n, k)
+
+
+def test_orbits_partition_the_valid_inputs():
+    for n, k in WALK_SIZES:
+        members = {}
+        for x in valid_inputs(GhzInstance(n=n, k=k)):
+            rep = tuple(sorted(x))
+            members[rep] = members.get(rep, 0) + 1
+        listed = list(orbits.valid_input_orbits(n, k))
+        assert [rep for rep, _ in listed] == sorted(members), (n, k)
+        assert dict(listed) == members, (n, k)
+        assert sum(m for _, m in listed) == k ** (n - 1), (n, k)
+
+
+@pytest.mark.parametrize(
+    "n,k,count", [(20, 2, 11), (20, 4, 446), (5, 8, 99), (200, 2, 101), (60, 4, 9936)]
+)
+def test_orbit_counts(n, k, count):
+    assert sum(1 for _ in orbits.valid_input_orbits(n, k)) == count
+
+
+def test_orbit_multiplicities_must_sum_to_the_valid_inputs(monkeypatch):
+    monkeypatch.setattr(orbits, "multiplicity", lambda rep: 1)
+    with pytest.raises(CrossCheckMismatch, match="not the 2\\^3 valid inputs"):
+        list(orbits.valid_input_orbits(4, 2))
+
+
+def test_orbit_pass_size_rises_with_n():
+    for k in (2, 3, 4, 16):
+        sizes = [orbits.orbit_pass_size(n, k) for n in range(0, 60)]
+        assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
+    assert orbits.orbit_pass_size(3161, 2) == 3162 * 3161
 
 
 def test_cross_check_visits_both_parities_on_varying_outcomes(monkeypatch):
     calls = []
     exact = ghz.quantum_probability
 
-    def record(inst, x, a):
-        calls.append(a)
-        return exact(inst, x, a)
+    def record(inst, x, a, scaled=False):
+        calls.append((x, a))
+        return exact(inst, x, a, scaled)
 
     monkeypatch.setattr(ghz, "quantum_probability", record)
     equivalence_max_deviation(GhzInstance(n=4, k=2), cross_check_stride=1)
-    assert [sum(a) % 2 for a in calls] == [0, 1] * 8  # one check per (input, parity)
+    # three orbits (no, two or four parties at setting 1) times two parities
+    assert [sum(a) % 2 for _, a in calls] == [0, 1] * 3
     for parity in (0, 1):
-        assert len({a for a in calls if sum(a) % 2 == parity}) == 8
+        assert len({a for _, a in calls if sum(a) % 2 == parity}) == 3
+    # the direct route sees each orbit on a member other than the sorted one
+    assert [x for x, _ in calls[::2]] == [(0, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1)]
 
 
 def test_cross_check_raises_when_the_routes_disagree(monkeypatch):
     # an explicit raise, not an assert, so the check also runs under python -O
     exact = ghz.quantum_probability
-    monkeypatch.setattr(ghz, "quantum_probability", lambda *a: exact(*a) + 1e-9)
+    monkeypatch.setattr(ghz, "quantum_probability", lambda *a, **kw: exact(*a, **kw) + 1e-9)
     with pytest.raises(CrossCheckMismatch):
         equivalence_max_deviation(GhzInstance(n=3, k=2), cross_check_stride=1)
     with pytest.raises(CrossCheckMismatch):  # fewer pairs than the stride: the first is checked
         equivalence_max_deviation(GhzInstance(n=2, k=2))
+
+
+def test_a_relative_error_fails_where_the_absolute_rule_cannot_see_it(monkeypatch):
+    # settings 1..3 off by a relative 1e-9; the first pair, all parties at
+    # setting 0, is the only one cross-checked
+    exact = ghz._phase_table(4)
+    monkeypatch.setattr(
+        ghz, "_phase_table", lambda k: exact[:1] + tuple(z * (1 + 1e-9) for z in exact[1:])
+    )
+    dev = equivalence_max_deviation(GhzInstance(n=60, k=4), cross_check_stride=10**9)
+    assert dev.absolute < AMPLITUDE_TOLERANCE < dev.relative
+
+
+def test_direct_route_checks_on_the_relative_scale(monkeypatch):
+    inst = GhzInstance(n=60, k=4)
+    x, a = (0,) * 60, (0,) * 60
+    assert quantum_probability(inst, x, a, scaled=True) == pytest.approx(1.0, abs=1e-12)
+    assert quantum_probability(inst, x, a) == pytest.approx(2.0**-59, rel=1e-12)
+    # a bra off by a relative 1e-9 moves the probability by about 2**-59 * 1.2e-7,
+    # far below the tolerance, but the check reads it times 2**59
+    bra = PhaseMeasurement.bra
+    monkeypatch.setattr(
+        PhaseMeasurement, "bra", lambda m, o: tuple(b * (1 + 1e-9) for b in bra(m, o))
+    )
+    with pytest.raises(CrossCheckMismatch):
+        quantum_probability(inst, x, a)
+
+
+@pytest.mark.parametrize("n", [1100, 2200, 3161])
+def test_direct_route_at_large_n(n):
+    # 2**n no longer converts to a float from n=1025, and (1/sqrt 2)**n
+    # underflows near n=2150; the overlaps are rescaled exactly instead
+    inst = GhzInstance(n=n, k=2)
+    x = (1, 1) + (0,) * (n - 2)
+    assert quantum_probability(inst, x, (1,) + (0,) * (n - 1), scaled=True) == pytest.approx(
+        1.0, abs=1e-12
+    )
+    assert quantum_probability(inst, x, (0,) * n, scaled=True) == pytest.approx(0.0, abs=1e-12)
+    assert quantum_probability(inst, x, (0,) * n) == 0.0
 
 
 def test_phase_measurement():
