@@ -9,6 +9,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -720,6 +721,62 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys, case):
         *run_cli(capsys, "lhv-eval", "--n", "2", "--k", "2", "--model", str(path))
     )
     assert_bad_input(*run_cli(capsys, "protocol-run", "--tree", str(path), "--evaluate"))
+
+
+def chain_tree_text(depth):
+    """A valid protocol file: ``depth`` single-edge nodes above one leaf,
+    written as text (``json.dumps`` has the same nesting limit as reading)."""
+    text = '{"leaf": {"tables": [[0, 1], [1, 0]]}}'
+    for _ in range(depth):
+        text = '{"node": {"party": 0, "edges": [{"inputs": [0, 1], "child": ' + text + "}]}}"
+    return '{"n": 2, "k": 2, "root": ' + text + "}"
+
+
+def test_deeply_nested_files_exit_two(tmp_path, capsys):
+    # 5,000 nested arrays overflow the JSON reader. 1,500 nodes overflow it
+    # too (four levels a node) where its limit is the recursion limit of
+    # 1,000, and the decoder's one frame a node where the reader goes deeper
+    model = tmp_path / "model.json"
+    model.write_text("[" * 5000 + "]" * 5000)
+    result = run_cli(capsys, "lhv-eval", "--n", "2", "--k", "2", "--model", str(model))
+    assert_bad_input(*result)
+    assert str(model) in result[2]
+    tree = tmp_path / "tree.json"
+    tree.write_text(chain_tree_text(1500))
+    for extra in ([], ["--evaluate"]):
+        result = run_cli(capsys, "protocol-run", "--tree", str(tree), *extra)
+        assert_bad_input(*result)
+        assert f"{tree} nests too deeply to" in result[2]
+
+
+def test_a_chain_of_250_nodes_never_exits_with_a_traceback(tmp_path, capsys):
+    # past the JSON reader's nesting limit on Python 3.11 (exit 2), within
+    # it where the reader goes deeper (exit 0); 200 nodes read everywhere
+    tree = tmp_path / "tree.json"
+    tree.write_text(chain_tree_text(250))
+    code, out, err = run_cli(capsys, "protocol-run", "--tree", str(tree), "--evaluate")
+    if code == 2:
+        assert_bad_input(code, out, err)
+    else:
+        assert code == 0 and err == ""
+    tree.write_text(chain_tree_text(200))
+    code, out, _ = run_cli(capsys, "protocol-run", "--tree", str(tree), "--evaluate")
+    assert code == 0
+    assert json.loads(out)["evaluation"]["conversion_ok"] is True
+
+
+def test_a_decode_past_the_recursion_limit_is_bad_input(tmp_path):
+    from nonlocal_lab import cli
+    from nonlocal_lab.errors import InvalidInput
+
+    path = tmp_path / "input.json"
+    path.write_text("[]")
+
+    def unbounded(payload):
+        return unbounded(payload)
+
+    with pytest.raises(InvalidInput, match="^" + re.escape(f"{path} nests too deeply to decode: ")):
+        cli._load_json(str(path), unbounded)
 
 
 def test_a_negative_error_budget_is_refused_at_every_size(capsys):
