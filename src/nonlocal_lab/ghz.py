@@ -336,22 +336,38 @@ def broadcast_prefix_stats(inst: GhzInstance, prefix: int) -> PrefixPoint:
 
 
 def _chain_tree(inst: GhzInstance, prefix: int, leaf_tables) -> ProtocolTree:
-    """Chain of k-way splits for parties 0..prefix-1; leaves from a callback."""
+    """Chain of k-way splits for parties 0..prefix-1.
+
+    Below the first ``level`` splits, the subtree depends on the settings
+    above it only through their sum mod 2k, so it is built once per
+    (level, residue) and shared: at most (prefix+1)*2k distinct nodes where
+    the expanded tree has k**prefix leaves. Leaf tables come from a callback
+    on that residue. Built from the leaves up, over the residues the sums of
+    ``level`` settings can reach.
+    """
     k = inst.k
+    blocks = [frozenset({v}) for v in range(k)]
 
-    def build(level: int, head: tuple[int, ...]):
-        if level == prefix:
-            return Leaf(lhv=DeterministicLhv(tables=leaf_tables(head)))
-        return Node(
-            party=level,
-            edges=tuple(Edge(inputs=frozenset({v}), child=build(level + 1, head + (v,))) for v in range(k)),
-        )
+    def reach(level: int) -> range:
+        return range(min(2 * k, level * (k - 1) + 1))
 
-    return ProtocolTree(n=inst.n, k=k, root=build(0, ()))
+    layer = {s: Leaf(lhv=DeterministicLhv(tables=leaf_tables(s))) for s in reach(prefix)}
+    for level in reversed(range(prefix)):
+        layer = {
+            s: Node(
+                party=level,
+                edges=tuple(
+                    Edge(inputs=b, child=layer[(s + v) % (2 * k)]) for v, b in enumerate(blocks)
+                ),
+            )
+            for s in reach(level)
+        }
+    return ProtocolTree(n=inst.n, k=k, root=layer[0])
 
 
 def broadcast_prefix_strategy(inst: GhzInstance, prefix: int) -> ProtocolTree:
-    """Materialized tree for :func:`broadcast_prefix_stats` (same leaf rule)."""
+    """The tree of :func:`broadcast_prefix_stats` (same leaf rule), built
+    as a DAG with one subtree per (level, setting sum mod 2k)."""
     n, k = inst.n, inst.k
     if not 0 <= prefix <= n:
         raise InvalidInput(f"prefix {prefix} outside 0..{n}")
@@ -362,8 +378,7 @@ def broadcast_prefix_strategy(inst: GhzInstance, prefix: int) -> ProtocolTree:
     suffix_counts = _full_sum_counts(n - min(prefix + 1, n), 2 * k, k)
     majority = [_majority_bit(inst, sigma, suffix_counts)[0] for sigma in range(2 * k)]
 
-    def leaf_tables(head: tuple[int, ...]):
-        sigma = sum(head)
+    def leaf_tables(sigma: int):
         guesses = tuple(majority[(sigma + v) % (2 * k)] for v in own)
         return tuple(guesses if i == answerer else zeros for i in range(n))
 
@@ -388,15 +403,17 @@ def broadcast_strategy_mixed(inst: GhzInstance) -> MixedProtocol:
     """
     n, k = inst.n, inst.k
     zeros_row = _full_sum_counts(0, 2 * k, k)
+    bits = [_majority_bit(inst, sigma, zeros_row)[0] for sigma in range(2 * k)]
+    # the constant tables, shared by every leaf of every component
+    constant = tuple(tuple(b for _ in range(k)) for b in range(2))
     weight = Fraction(1, 2 ** (n - 1))
     components = []
     for r in itertools.product(range(2), repeat=n - 1):
         flip = sum(r) % 2
+        rest = tuple(constant[ri] for ri in r)
 
-        def leaf_tables(head: tuple[int, ...], flip=flip, r=r):
-            bit, _ = _majority_bit(inst, sum(head) % (2 * k), zeros_row)
-            first = tuple((bit ^ flip) for _ in range(k))
-            return (first,) + tuple(tuple(ri for _ in range(k)) for ri in r)
+        def leaf_tables(sigma: int, flip=flip, rest=rest):
+            return (constant[bits[sigma] ^ flip],) + rest
 
         components.append((_chain_tree(inst, n, leaf_tables), weight))
     return MixedProtocol(components=tuple(components), flavor=SHARED)

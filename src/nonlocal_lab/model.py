@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -119,9 +120,11 @@ class CorrelationProblem:
             if not _sums_to_one(list(row.values())):
                 raise InvalidInput(f"target at {x} sums to {sum(row.values())}, expected 1")
 
-    @property
+    @functools.cached_property
     def support(self) -> tuple[InputVector, ...]:
-        """Inputs with nonzero weight, in insertion order."""
+        """Inputs with nonzero weight, in insertion order; computed once per
+        problem (a cached property writes the instance dict, so it works on
+        this frozen class, and it is not a field, so ``==`` ignores it)."""
         return tuple(x for x, w in self.mu.items() if w > 0)
 
     def mu_weight(self, x: InputVector) -> Fraction:
@@ -429,8 +432,8 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
     tables = dict.fromkeys(itertools.chain.from_iterable([lhv.tables for lhv, _ in m.components]))
     _check_tables(tables, problem.l)
     click_set = {t: tuple(v for v, e in enumerate(t) if e is not None) for t in tables}
-    mu = problem.mu
     support = problem.support
+    supported = set(support)
     # click masses are integer numerators over the lcm of the component
     # weights' denominators
     weights = {id(w): w for _, w in m.components}
@@ -444,7 +447,7 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
     for rect, comps in groups.items():
         # an empty click set makes the product empty: nothing to visit
         if math.prod(map(len, rect)) <= len(support):
-            inside = [x for x in itertools.product(*rect) if mu.get(x, ZERO) > 0]
+            inside = [x for x in itertools.product(*rect) if x in supported]
         else:
             inside = [x for x in support if all(v in c for v, c in zip(x, rect))]
         for x in inside:

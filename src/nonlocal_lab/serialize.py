@@ -16,6 +16,13 @@ scan is malformed and is decoded again on ``repr`` keys, where ``true``,
 ``1`` and ``1.0`` are three keys. Only entries that decoded cleanly are
 kept, so a malformed entry raises the same ``InvalidInput`` at every
 occurrence.
+
+Writing a model or protocol file builds each distinct party table, weight
+and subtree payload once, keyed on the identity of the object, which the
+written model or protocol holds alive: repeats reuse the first payload
+object, just as the decoder shares what it builds. The JSON text is the
+same as for unshared payloads; a payload that shares objects is read-only,
+as changing one occurrence changes every other.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ def outcome_to_json(a: OutcomeVector) -> list:
 
 
 def lhv_to_json(lhv: DeterministicLhv) -> dict:
-    return {"tables": [[entry_to_json(v) for v in t] for t in lhv.tables]}
+    return _Encoder().lhv(lhv)
 
 
 def _table_from_json(t: Any) -> tuple:
@@ -106,17 +113,18 @@ def _items(raw: Any) -> tuple:
 
 
 def _interned(
-    cache: dict, key: Callable[[Any], Any], raw: Any, decode: Callable[[Any], Any]
+    cache: dict, key: Callable[[Any], Any], obj: Any, build: Callable[[Any], Any]
 ) -> Any:
-    """``decode(raw)``, built once per distinct ``key(raw)`` in ``cache``."""
+    """``build(obj)``, built once per distinct ``key(obj)`` in ``cache``: the
+    decoder keys raw JSON on its values, the encoder objects on their ids."""
     try:
-        k = key(raw)
-    except ValueError:  # an int past the str conversion limit: decode, don't keep
-        return decode(raw)
+        k = key(obj)
+    except ValueError:  # an int past the str conversion limit: build, don't keep
+        return build(obj)
     try:
         return cache[k]
     except KeyError:
-        value = cache[k] = decode(raw)
+        value = cache[k] = build(obj)
         return value
 
 
@@ -241,10 +249,10 @@ def lhv_from_json(obj: Any) -> DeterministicLhv:
 
 
 def mixed_lhv_to_json(m: MixedLhv) -> dict:
+    enc = _Encoder()
     return {
         "components": [
-            {"model": lhv_to_json(lhv), "weight": fraction_to_json(w)}
-            for lhv, w in m.components
+            {"model": enc.lhv(lhv), "weight": enc.weight(w)} for lhv, w in m.components
         ]
     }
 
@@ -290,22 +298,40 @@ def problem_from_json(obj: Any) -> CorrelationProblem:
     )
 
 
-def _tree_node_to_json(v: Union[Node, Leaf]) -> dict:
-    if isinstance(v, Leaf):
-        return {"leaf": lhv_to_json(v.lhv)}
-    return {
-        "node": {
-            "party": v.party,
-            "edges": [
-                {"inputs": sorted(e.inputs), "child": _tree_node_to_json(e.child)}
-                for e in v.edges
-            ],
-        }
-    }
+def _table_to_json(t: tuple) -> list:
+    return [entry_to_json(v) for v in t]
+
+
+class _Encoder:
+    """The payload memos of one written file, keyed on object identity: the
+    model or protocol being written holds every key's object alive."""
+
+    def __init__(self) -> None:
+        self.tables: dict[int, list] = {}
+        self.weights: dict[int, dict[str, str]] = {}
+        self.nodes: dict[int, dict] = {}
+
+    def lhv(self, lhv: DeterministicLhv) -> dict:
+        return {"tables": [_interned(self.tables, id, t, _table_to_json) for t in lhv.tables]}
+
+    def weight(self, w: Fraction) -> dict[str, str]:
+        return _interned(self.weights, id, w, fraction_to_json)
+
+    def node(self, v: Union[Node, Leaf]) -> dict:
+        return _interned(self.nodes, id, v, self._node)
+
+    def _node(self, v: Union[Node, Leaf]) -> dict:
+        if isinstance(v, Leaf):
+            return {"leaf": self.lhv(v.lhv)}
+        edges = [{"inputs": sorted(e.inputs), "child": self.node(e.child)} for e in v.edges]
+        return {"node": {"party": v.party, "edges": edges}}
+
+    def tree(self, t: ProtocolTree) -> dict:
+        return {"n": t.n, "k": t.k, "root": self.node(t.root)}
 
 
 def tree_to_json(t: ProtocolTree) -> dict:
-    return {"n": t.n, "k": t.k, "root": _tree_node_to_json(t.root)}
+    return _Encoder().tree(t)
 
 
 def tree_from_json(obj: Any) -> ProtocolTree:
@@ -313,11 +339,11 @@ def tree_from_json(obj: Any) -> ProtocolTree:
 
 
 def mixed_protocol_to_json(m: MixedProtocol) -> dict:
+    enc = _Encoder()
     return {
         "flavor": m.flavor,
         "components": [
-            {"tree": tree_to_json(t), "weight": fraction_to_json(w)}
-            for t, w in m.components
+            {"tree": enc.tree(t), "weight": enc.weight(w)} for t, w in m.components
         ],
     }
 

@@ -1,6 +1,7 @@
 """Shared random generators for protocol and model tests, the lattice
 oracle for the rectangle scan, the per-outcome advantage oracle, the
-per-entry reference decoders and the per-component detector conversion.
+per-entry reference decoders and encoders, the per-component detector
+conversion and the expanded broadcast builders.
 
 All randomness is seeded at the call site so every test run is replayable.
 """
@@ -12,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from nonlocal_lab import serialize
+from nonlocal_lab import ghz, serialize
 from nonlocal_lab.cyclic import indicator, product
 from nonlocal_lab.ghz import GhzInstance
 from nonlocal_lab.errors import EmptyWeight
@@ -123,6 +124,104 @@ def reference_mixed_protocol_from_json(obj) -> MixedProtocol:
         ),
         flavor=obj.get("flavor", "shared"),
     )
+
+
+def _reference_lhv_to_json(lhv: DeterministicLhv) -> dict:
+    return {"tables": [[serialize.entry_to_json(v) for v in t] for t in lhv.tables]}
+
+
+def _reference_node_to_json(v) -> dict:
+    if isinstance(v, Leaf):
+        return {"leaf": _reference_lhv_to_json(v.lhv)}
+    return {
+        "node": {
+            "party": v.party,
+            "edges": [
+                {"inputs": sorted(e.inputs), "child": _reference_node_to_json(e.child)}
+                for e in v.edges
+            ],
+        }
+    }
+
+
+def reference_tree_to_json(t: ProtocolTree) -> dict:
+    """Oracle for ``serialize.tree_to_json``: a fresh payload per path, with
+    no object shared."""
+    return {"n": t.n, "k": t.k, "root": _reference_node_to_json(t.root)}
+
+
+def reference_mixed_protocol_to_json(m: MixedProtocol) -> dict:
+    return {
+        "flavor": m.flavor,
+        "components": [
+            {"tree": reference_tree_to_json(t), "weight": serialize.fraction_to_json(w)}
+            for t, w in m.components
+        ],
+    }
+
+
+def reference_mixed_lhv_to_json(m: MixedLhv) -> dict:
+    """Oracle for ``serialize.mixed_lhv_to_json``: a fresh payload per
+    component and table."""
+    return {
+        "components": [
+            {"model": _reference_lhv_to_json(lhv), "weight": serialize.fraction_to_json(w)}
+            for lhv, w in m.components
+        ]
+    }
+
+
+def _expanded_chain_tree(inst: GhzInstance, prefix: int, leaf_tables) -> ProtocolTree:
+    """Chain of k-way splits for parties 0..prefix-1 with one subtree per
+    path: k**prefix leaves, each from a callback on the settings above it."""
+    k = inst.k
+
+    def build(level: int, head: tuple[int, ...]):
+        if level == prefix:
+            return Leaf(lhv=DeterministicLhv(tables=leaf_tables(head)))
+        return Node(
+            party=level,
+            edges=tuple(
+                Edge(inputs=frozenset({v}), child=build(level + 1, head + (v,))) for v in range(k)
+            ),
+        )
+
+    return ProtocolTree(n=inst.n, k=k, root=build(0, ()))
+
+
+def expanded_prefix_strategy(inst: GhzInstance, prefix: int) -> ProtocolTree:
+    """Oracle for ``ghz.broadcast_prefix_strategy``: the same leaf rule, read
+    off the whole head of broadcast settings, on the expanded tree."""
+    n, k = inst.n, inst.k
+    zeros = tuple(0 for _ in range(k))
+    answerer = prefix if prefix < n else 0
+    own = range(k) if prefix < n else zeros
+    suffix_counts = ghz._full_sum_counts(n - min(prefix + 1, n), 2 * k, k)
+    majority = [ghz._majority_bit(inst, sigma, suffix_counts)[0] for sigma in range(2 * k)]
+
+    def leaf_tables(head):
+        sigma = sum(head)
+        guesses = tuple(majority[(sigma + v) % (2 * k)] for v in own)
+        return tuple(guesses if i == answerer else zeros for i in range(n))
+
+    return _expanded_chain_tree(inst, prefix, leaf_tables)
+
+
+def expanded_strategy_mixed(inst: GhzInstance) -> MixedProtocol:
+    """Oracle for ``ghz.broadcast_strategy_mixed`` on expanded trees."""
+    n, k = inst.n, inst.k
+    zeros_row = ghz._full_sum_counts(0, 2 * k, k)
+    components = []
+    for r in itertools.product(range(2), repeat=n - 1):
+        flip = sum(r) % 2
+
+        def leaf_tables(head, flip=flip, r=r):
+            bit, _ = ghz._majority_bit(inst, sum(head) % (2 * k), zeros_row)
+            first = tuple((bit ^ flip) for _ in range(k))
+            return (first,) + tuple(tuple(ri for _ in range(k)) for ri in r)
+
+        components.append((_expanded_chain_tree(inst, n, leaf_tables), Fraction(1, 2 ** (n - 1))))
+    return MixedProtocol(components=tuple(components))
 
 
 def reference_detector_model(m: MixedProtocol) -> MixedLhv:

@@ -9,7 +9,6 @@ Needs the optional ``test`` extra (hypothesis); skipped without it.
 """
 
 import contextlib
-import copy
 import io
 import json
 from fractions import Fraction
@@ -67,7 +66,10 @@ def mutants(draw, payload):
     if kind == "root":
         return json.dumps(draw(st.sampled_from(POISONS)))
     path = draw(st.sampled_from(list(paths(payload))))
-    obj = copy.deepcopy(payload)
+    # a fresh copy from the text: the writers share payload objects, which
+    # ``copy.deepcopy`` keeps shared, so one change would land at every
+    # occurrence of a shared subtree or table
+    obj = json.loads(text)
     parent = obj
     for key in path[:-1]:
         parent = parent[key]

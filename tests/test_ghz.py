@@ -3,11 +3,19 @@ and the broadcast strategies."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from nonlocal_lab import ghz, orbits
+from conftest import (
+    expanded_prefix_strategy,
+    expanded_strategy_mixed,
+    reference_mixed_lhv_to_json,
+    reference_mixed_protocol_to_json,
+    reference_tree_to_json,
+)
+from nonlocal_lab import ghz, orbits, serialize
 from nonlocal_lab.errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -36,7 +44,14 @@ from nonlocal_lab.model import (
     error_probability,
     total_variation_error,
 )
-from nonlocal_lab.protocol import MixedProtocol, cost, induced_distribution
+from nonlocal_lab.protocol import (
+    MixedProtocol,
+    _distinct_nodes,
+    cost,
+    execute,
+    induced_distribution,
+    to_detector_model,
+)
 
 F = Fraction
 
@@ -360,6 +375,75 @@ def test_prefix_stats_match_materialized_trees():
             assert cost(tree) == point.cost
             d = induced_distribution(MixedProtocol(components=((tree, F(1)),)), problem)
             assert error_probability(d, problem) == point.eps
+
+
+def distinct_node_count(tree) -> int:
+    return sum(1 for _ in _distinct_nodes((tree.root,)))
+
+
+# every size whose expanded full broadcast has at most 4,096 leaves, each
+# built by the oracle in about 0.1 s; the oracle reaches (14, 2), (8, 3),
+# (7, 4) and (6, 5) within a second, but all prefixes there take seconds
+PREFIX_SIZES = (
+    [(n, 2) for n in range(2, 13)]
+    + [(n, 3) for n in range(2, 8)]
+    + [(n, 4) for n in range(2, 7)]
+    + [(n, 5) for n in range(2, 6)]
+    + [(n, 6) for n in range(2, 5)]
+)
+
+
+@pytest.mark.parametrize("n,k", PREFIX_SIZES)
+def test_prefix_strategies_equal_the_expanded_oracle(n, k):
+    """Every prefix: the shared DAG equals the expanded tree, writes the
+    same text, and has at most (prefix+1)*2k distinct nodes."""
+    inst = GhzInstance(n=n, k=k)
+    for prefix in range(n + 1):
+        tree = broadcast_prefix_strategy(inst, prefix)
+        oracle = expanded_prefix_strategy(inst, prefix)
+        assert tree == oracle
+        assert distinct_node_count(tree) <= (prefix + 1) * 2 * k
+        text = serialize.dumps(serialize.tree_to_json(tree))
+        assert text == serialize.dumps(reference_tree_to_json(oracle))
+
+
+# every size whose expanded mixture has at most 8,192 leaves in all
+MIXED_SIZES = (
+    [(n, 2) for n in range(2, 8)]
+    + [(n, 3) for n in range(2, 6)]
+    + [(n, 4) for n in range(2, 5)]
+    + [(3, 5), (3, 6)]
+)
+
+
+@pytest.mark.parametrize("n,k", MIXED_SIZES)
+def test_mixed_strategy_equals_the_expanded_oracle(n, k):
+    """The mixture and its detector model write the same text as the
+    expanded oracle's, and each tree has at most (n+1)*2k distinct nodes."""
+    inst = GhzInstance(n=n, k=k)
+    mixed = broadcast_strategy_mixed(inst)
+    oracle = expanded_strategy_mixed(inst)
+    assert mixed == oracle
+    for tree, _ in mixed.components:
+        assert distinct_node_count(tree) <= (n + 1) * 2 * k
+    text = serialize.dumps(serialize.mixed_protocol_to_json(mixed))
+    assert text == serialize.dumps(reference_mixed_protocol_to_json(oracle))
+    text = serialize.dumps(serialize.mixed_lhv_to_json(to_detector_model(mixed)))
+    assert text == serialize.dumps(reference_mixed_lhv_to_json(to_detector_model(oracle)))
+
+
+def test_broadcast_past_the_expanded_reach():
+    """At n=12, k=4 the expanded tree has 4**12 leaves; the DAG has at most
+    (n+1)*2k nodes, and seeded valid inputs reach the forced parity."""
+    inst = GhzInstance(n=12, k=4)
+    tree = broadcast_strategy(inst)
+    assert distinct_node_count(tree) <= 13 * 8
+    rng = random.Random(12)
+    for _ in range(200):
+        head = tuple(rng.randrange(4) for _ in range(11))
+        x = head + ((-sum(head)) % 4,)
+        _, outcome = execute(tree, x)
+        assert sum(outcome) % 2 == promise_bit(inst, x)
 
 
 def test_prefix_answerer_is_the_next_party_or_party_zero():

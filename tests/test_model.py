@@ -294,6 +294,19 @@ def test_outcome_all_click_predicate():
     assert not all_click((0, None, 1))
 
 
+def test_support_is_computed_once_per_problem_and_ignored_by_equality():
+    problem = ghz_problem(GhzInstance(n=3, k=2))
+    assert problem.support is problem.support
+    mu = {x: w for x, w in problem.mu.items()}
+    mu[(0, 0, 1)] = Fraction(0)  # a zero weight is kept in mu but not in the support
+    fresh = CorrelationProblem(n=3, k=2, l=2, mu=mu, target=dict(problem.target))
+    assert fresh.support == problem.support
+    assert fresh != problem
+    same = CorrelationProblem(n=3, k=2, l=2, mu=dict(problem.mu), target=dict(problem.target))
+    # the cached support sits in the instance dict, not among the fields
+    assert same == problem and "support" in vars(same)
+
+
 def test_problem_validation_rejects_bad_weights():
     with pytest.raises(InvalidInput):
         CorrelationProblem(

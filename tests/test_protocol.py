@@ -178,15 +178,16 @@ def test_cost_is_worst_case_path_sum():
 
 def assert_execution_reaches_preorder_leaf(tree):
     """``execute`` returns the preorder index of the leaf whose input sets
-    contain ``x``, and that leaf's outputs."""
-    leaves = tree.leaves()
-    # leaf_input_sets skips leaves no input reaches, so match leaves by identity
-    sets_of = {id(leaf): sets for leaf, sets in tree.leaf_input_sets()}
+    contain ``x``, and that leaf's outputs. Leaves are paired with their
+    paths by preorder position, not by identity: a shared leaf object sits
+    at the end of several paths."""
+    paths = [(leaf, sets) for leaf, sets, _ in tree._walk()]
     for x in itertools.product(range(tree.k), repeat=tree.n):
         leaf_id, outcome = execute(tree, x)
-        assert 0 <= leaf_id < len(leaves)
-        assert all(v in s for v, s in zip(x, sets_of[id(leaves[leaf_id])]))
-        assert leaves[leaf_id].lhv.outputs(x) == outcome
+        assert 0 <= leaf_id < len(paths)
+        leaf, sets = paths[leaf_id]
+        assert all(v in s for v, s in zip(x, sets))
+        assert leaf.lhv.outputs(x) == outcome
 
 
 def test_partition_soundness_random_trees():

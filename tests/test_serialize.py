@@ -13,15 +13,18 @@ from conftest import (
     random_tree,
     reference_lhv_from_json,
     reference_mixed_lhv_from_json,
+    reference_mixed_lhv_to_json,
     reference_mixed_protocol_from_json,
+    reference_mixed_protocol_to_json,
     reference_tree_from_json,
+    reference_tree_to_json,
 )
 from nonlocal_lab import serialize
 from nonlocal_lab.cyclic import Subgroup
 from nonlocal_lab.errors import InvalidInput
 from nonlocal_lab.ghz import GhzInstance, broadcast_strategy, broadcast_strategy_mixed, ghz_problem
 from nonlocal_lab.model import DeterministicLhv
-from nonlocal_lab.protocol import MixedProtocol, to_detector_model
+from nonlocal_lab.protocol import Leaf, MixedProtocol, _distinct_nodes, to_detector_model
 
 F = Fraction
 
@@ -183,6 +186,80 @@ def test_interned_decoders_match_the_reference_on_the_protocol_eval_files():
         assert m == reference_mixed_lhv_from_json(model_payload)
         assert operator.eq(*distinct_count(t for lhv, _ in m.components for t in lhv.tables))
         assert operator.eq(*distinct_count(w for _, w in m.components))
+
+
+def payload_occurrences(obj, wanted) -> list:
+    """Every container in ``obj`` that ``wanted`` picks, once per occurrence:
+    a shared payload object is listed at each place it appears."""
+    found, stack = [], [obj]
+    while stack:
+        v = stack.pop()
+        if wanted(v):
+            found.append(v)
+        if isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+    return found
+
+
+def is_subtree_payload(v) -> bool:
+    return isinstance(v, dict) and ("node" in v or "leaf" in v)
+
+
+def writer_cases():
+    """Mixtures whose trees share subtrees (built and decoded broadcasts)
+    and whose trees share nothing (random mixtures)."""
+    rng = random.Random(37)
+    cases = [
+        MixedProtocol(components=((broadcast_strategy(GhzInstance(n=n, k=k)), F(1)),))
+        for n, k in ((2, 2), (5, 2), (4, 4))
+    ]
+    cases += [broadcast_strategy_mixed(GhzInstance(n=n, k=k)) for n, k in ((3, 2), (5, 2), (3, 4))]
+    cases += [random_mixed_protocol(rng, n, 2) for n in (2, 3, 4)]
+    cases += [
+        serialize.mixed_protocol_from_json(
+            json.loads(serialize.dumps(serialize.mixed_protocol_to_json(mp)))
+        )
+        for mp in cases[3:]
+    ]
+    return cases
+
+
+def test_writers_build_one_payload_per_distinct_subtree_and_table():
+    for mp in writer_cases():
+        trees = [t for t, _ in mp.components]
+        distinct = list(_distinct_nodes(t.root for t in trees))
+        tables = {id(t) for v in distinct if isinstance(v, Leaf) for t in v.lhv.tables}
+        # one memo per written file: shared across the mixture's trees
+        payload = serialize.mixed_protocol_to_json(mp)
+        assert serialize.dumps(payload) == serialize.dumps(reference_mixed_protocol_to_json(mp))
+        subtrees = payload_occurrences(payload, is_subtree_payload)
+        assert len({id(v) for v in subtrees}) == len(distinct)
+        leaf_tables = [t for v in subtrees if "leaf" in v for t in v["leaf"]["tables"]]
+        assert len({id(t) for t in leaf_tables}) == len(tables)
+        # and one memo per tree file
+        for tree in trees:
+            payload = serialize.tree_to_json(tree)
+            assert serialize.dumps(payload) == serialize.dumps(reference_tree_to_json(tree))
+            subtrees = payload_occurrences(payload, is_subtree_payload)
+            assert len({id(v) for v in subtrees}) == sum(1 for _ in _distinct_nodes((tree.root,)))
+        # the detector model: one payload per distinct table and weight object
+        m = to_detector_model(mp)
+        payload = serialize.mixed_lhv_to_json(m)
+        assert serialize.dumps(payload) == serialize.dumps(reference_mixed_lhv_to_json(m))
+        models = [c["model"] for c in payload["components"]]
+        written = [t for model in models for t in model["tables"]]
+        assert len({id(t) for t in written}) == len({id(t) for lhv, _ in m.components for t in lhv.tables})
+        weights = [c["weight"] for c in payload["components"]]
+        assert len({id(w) for w in weights}) == len({id(w) for _, w in m.components})
+
+
+def test_writers_share_nothing_between_calls():
+    tree = broadcast_strategy(GhzInstance(n=3, k=2))
+    first, second = serialize.tree_to_json(tree), serialize.tree_to_json(tree)
+    assert first == second
+    assert first["root"] is not second["root"]
 
 
 def test_one_argument_decoders_share_nothing_between_calls():
