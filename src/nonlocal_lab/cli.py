@@ -20,6 +20,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, NoReturn, Optional, Sequence
 
@@ -267,10 +268,11 @@ def cmd_addition(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.r < args.t**3:
         raise TooFewSets(f"need r >= T^3 = {args.t**3} sets, got r = {args.r}")
     rng = random.Random(args.seed)
-    general_sets = cyclic.random_subsets(args.t, args.r, rng, min_size=2)
-    addition = cyclic.verify_addition_theorem(args.t, general_sets)
-    pair_sets = cyclic.random_subsets(args.t, args.r, rng, min_size=2, max_size=2)
-    size2 = cyclic.verify_size2_sets(args.t, pair_sets)
+    # each draw is counted at once, so only its distinct sets are kept
+    general = Counter(cyclic.random_subset_masks(args.t, args.r, rng, min_size=2))
+    addition = cyclic.verify_addition_masks(args.t, general)
+    pairs = Counter(cyclic.random_subset_masks(args.t, args.r, rng, min_size=2, max_size=2))
+    size2 = cyclic.verify_size2_masks(args.t, pairs)
     passed = addition.passed and size2.passed
     report = {
         "command": "addition",

@@ -9,8 +9,13 @@ its factors' sums. A group is raised by square-and-multiply, then the two
 terms of least mass are multiplied until one is left; every multiply is one
 big-int product folded mod 2^(slot bits * T) - 1. :func:`conv`, which skips
 zero entries, stays the kernel for single sums and step-by-step sweeps.
-The verifiers count the drawn sets first, so each distinct set is checked
-and normalised once.
+
+Random subsets come from one seeded draw kernel, :func:`random_subset_masks`,
+which gives each set as an int bitmask on the stream of ``rng.sample``;
+:func:`random_subsets` decodes its masks into sorted tuples. The verifiers
+take a count of distinct masks (``verify_*_masks``); their set forms turn
+each distinct set into a mask first. Each distinct mask is checked once and
+packed straight into a term, its bits spread over byte slots.
 
 All verdicts are decided in exact integer/rational arithmetic; inequalities
 involving square roots are compared in squared form with explicit sign
@@ -27,7 +32,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     CrossCheckMismatch,
@@ -160,22 +165,49 @@ def product(factors: Iterable[Sequence[int]] | Mapping[Sequence[int], int]) -> l
             raise InvalidInput(f"exponent must be >= 0, got {e}")
         if len(v) != m:
             raise ModulusMismatch(f"moduli differ: {m} vs {len(v)}")
-    heap = []  # terms (mass, width, packed), least mass first
+    terms = []
     for v, e in groups.items():
         if e:
             mass = sum(v)
             if not mass:
                 return [0] * m
             width = _width(mass)
-            heap.append(_power((mass, width, _pack(v, width)), e, m))
-    if not heap:
+            terms.append(_power((mass, width, _pack(v, width)), e, m))
+    if not terms:
         return [1] + [0] * (m - 1)
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        heapq.heappush(heap, _mul(heapq.heappop(heap), heapq.heappop(heap), m))
-    _, width, packed = heap[0]
+    return _multiply(terms, m)
+
+
+def _multiply(terms: list[tuple[int, int, int]], m: int) -> list[int]:
+    """The product of the packed ``terms`` (at least one), unpacked into its
+    m counts: the two terms of least mass are multiplied until one is left."""
+    heapq.heapify(terms)
+    while len(terms) > 1:
+        heapq.heappush(terms, _mul(heapq.heappop(terms), heapq.heappop(terms), m))
+    _, width, packed = terms[0]
     data = packed.to_bytes(m * width, "little")
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, m * width, width)]
+
+
+def _spread_table() -> tuple[int, ...]:
+    table = [0]
+    for i in range(8):  # the bytes with bit i set: those below, plus slot i
+        table += [x | 1 << 8 * i for x in table]
+    return tuple(table)
+
+
+#: byte i of ``_SPREAD[b]`` is bit i of the byte b: a byte of a set's bitmask
+#: spread over eight one-byte slots
+_SPREAD = _spread_table()
+
+
+def _mask_term(mask: int) -> tuple[int, int, int]:
+    """The packed term ``(mass, width, packed)`` of the 0/1 count vector whose
+    ones are the bits of ``mask``. Its slots hold 0 or 1, so one byte each."""
+    packed = 0
+    for shift in range(0, mask.bit_length(), 8):
+        packed |= _SPREAD[mask >> shift & 255] << 8 * shift
+    return mask.bit_count(), 1, packed
 
 
 @dataclass(frozen=True)
@@ -364,19 +396,69 @@ def _residues(big_t: int, s: Sequence[int], sizes: range, need: str) -> set[int]
 
 def _count_sets(
     big_t: int, sets: Sequence[Sequence[int]], sizes: range, need: str
-) -> Iterator[tuple[set[int], int]]:
-    """The residues (:func:`_residues`) and the count of each distinct set in
-    ``sets``, in order of first occurrence, so each set is checked once and
-    the first invalid one in input order is named. When some entry is not an
-    int (a bool or a float would compare equal to one) the sets are checked
-    one by one instead, in input order."""
+) -> Counter[int]:
+    """The bitmask (bit v for residue v) of each distinct set in ``sets``,
+    counted. Each distinct set is checked once (:func:`_residues`), in order
+    of first occurrence, so the first invalid one in input order is named.
+    When some entry is not an int (a bool or a float would compare equal to
+    one) the sets are checked one by one instead, in input order."""
     if not set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
         for s in sets:
             if not set(map(type, s)) <= {int}:
                 raise InvalidInput(f"set entries must be ints, got {s}")
             _residues(big_t, s, sizes, need)
+    masks: Counter[int] = Counter()
     for s, count in Counter(map(tuple, sets)).items():
-        yield _residues(big_t, s, sizes, need), count
+        masks[sum(1 << v for v in _residues(big_t, s, sizes, need))] += count
+    return masks
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    """The positions of the ones of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _check_t_and_r(big_t: int, r: int, least: int) -> None:
+    """Refuse a T that is not a power of two >= ``least``, then fewer than
+    T**3 sets."""
+    if not _is_power_of_two(big_t) or big_t < least:
+        floor = f" >= {least}" if least > 1 else ""
+        raise NotPowerOfTwo(f"T must be a power of two{floor}, got {big_t}")
+    if r < big_t**3:
+        raise TooFewSets(f"need at least T^3 = {big_t**3} sets, got {r}")
+
+
+def _check_masks(
+    big_t: int, masks: Mapping[int, int], least: int, sizes: range, need: str
+) -> int:
+    """The number r of sets that ``masks`` counts. Each count must be an int
+    >= 1; then T and r are checked (:func:`_check_t_and_r`), and each
+    distinct mask once: an int below 2**T whose number of ones lies in
+    ``sizes``."""
+    for mask, count in masks.items():
+        if type(count) is not int or count < 1:
+            raise InvalidInput(f"set counts must be ints >= 1, got {count!r} for {mask!r}")
+    r = sum(masks.values())
+    _check_t_and_r(big_t, r, least)
+    full = 1 << big_t
+    for mask in masks:
+        if type(mask) is not int or not 0 <= mask < full:
+            raise InvalidInput(f"set masks must be ints in [0, 2^T), got {mask!r}")
+        if mask.bit_count() not in sizes:
+            raise InvalidInput(f"sets must have {need} distinct elements, got {_elements(mask)}")
+    return r
+
+
+def _mask_sum(big_t: int, masks: Mapping[int, int]) -> MultisetZ:
+    """The sum of the sets that ``masks`` counts: each distinct set packed
+    once (:func:`_mask_term`), raised to its count, then :func:`_multiply`."""
+    terms = [_power(_mask_term(mask), copies, big_t) for mask, copies in masks.items()]
+    return MultisetZ(modulus=big_t, mult=_multiply(terms, big_t))
 
 
 @dataclass(frozen=True)
@@ -401,30 +483,29 @@ def verify_size2_sets(big_t: int, sets: Sequence[Sequence[int]]) -> Size2Report:
     respect to <b> must satisfy bias <= 4*T**(3/2)/sqrt(r), decided exactly
     in squared form.
     """
-    if not _is_power_of_two(big_t):
-        raise NotPowerOfTwo(f"T must be a power of two, got {big_t}")
-    r = len(sets)
-    if r < big_t**3:
-        raise TooFewSets(f"need at least T^3 = {big_t**3} sets, got {r}")
+    _check_t_and_r(big_t, len(sets), 1)
+    return verify_size2_masks(big_t, _count_sets(big_t, sets, range(2, 3), "exactly 2"))
+
+
+def verify_size2_masks(big_t: int, masks: Mapping[int, int]) -> Size2Report:
+    """:func:`verify_size2_sets` on sets given as bitmasks (bit v for element
+    v), each distinct mask mapped to its number of copies (a ``Counter``)."""
+    r = _check_masks(big_t, masks, 1, range(2, 3), "exactly 2")
     tally: Counter[int] = Counter()
-    for vals, copies in _count_sets(big_t, sets, range(2, 3), "exactly 2"):
-        lo, hi = sorted(vals)
-        tally[(hi - lo) % big_t] += copies  # translate so 0 is a member
+    for mask, copies in masks.items():
+        # hi - lo: the set translated so 0 is a member
+        tally[mask.bit_length() - (mask & -mask).bit_length()] += copies
     majority = max(tally, key=lambda b: (tally[b], -b))
-    count = tally[majority]
-    total = MultisetZ(
-        modulus=big_t, mult=product({indicator(big_t, (0, b)): c for b, c in tally.items()})
-    )
+    total = _mask_sum(big_t, {1 | 1 << b: c for b, c in tally.items()})
     sub = Subgroup(modulus=big_t, generator=majority)
     b_val = subgroup_bias(total, sub)
-    passed = _bias_within_bound_t32(b_val, big_t, r)
     return Size2Report(
         subgroup=sub,
         majority_difference=majority,
-        majority_count=count,
+        majority_count=tally[majority],
         bias=b_val,
         bound=4.0 * big_t**1.5 / math.sqrt(r),
-        passed=passed,
+        passed=_bias_within_bound_t32(b_val, big_t, r),
     )
 
 
@@ -448,17 +529,19 @@ def verify_addition_theorem(big_t: int, sets: Sequence[Sequence[int]]) -> Additi
     the comparison is exact in squared form and the measured bias is
     reported so tighter empirical constants stay visible.
     """
-    if not _is_power_of_two(big_t) or big_t < 2:
-        raise NotPowerOfTwo(f"T must be a power of two >= 2, got {big_t}")
-    r = len(sets)
-    if r < big_t**3:
-        raise TooFewSets(f"need at least T^3 = {big_t**3} sets, got {r}")
-    groups: Counter[bytes] = Counter()
-    for vals, copies in _count_sets(big_t, sets, range(2, big_t + 1), "at least 2"):
-        groups[bytes(indicator(big_t, vals))] += copies  # 0/1 entries: compact keys
-    total = MultisetZ(modulus=big_t, mult=product(groups))
+    _check_t_and_r(big_t, len(sets), 2)
+    return verify_addition_masks(
+        big_t, _count_sets(big_t, sets, range(2, big_t + 1), "at least 2")
+    )
+
+
+def verify_addition_masks(big_t: int, masks: Mapping[int, int]) -> AdditionReport:
+    """:func:`verify_addition_theorem` on sets given as bitmasks (bit v for
+    element v), each distinct mask mapped to its number of copies (a
+    ``Counter``)."""
+    r = _check_masks(big_t, masks, 2, range(2, big_t + 1), "at least 2")
     sub = Subgroup(modulus=big_t, generator=big_t // 2)
-    b_val = subgroup_bias(total, sub)
+    b_val = subgroup_bias(_mask_sum(big_t, masks), sub)
     return AdditionReport(
         subgroup=sub,
         bias=b_val,
@@ -468,14 +551,15 @@ def verify_addition_theorem(big_t: int, sets: Sequence[Sequence[int]]) -> Additi
     )
 
 
-def random_subsets(
+def random_subset_masks(
     big_t: int, r: int, rng: random.Random, min_size: int = 2, max_size: Optional[int] = None
-) -> list[tuple[int, ...]]:
-    """Seeded random subsets of Z_T with sizes in [min_size, max_size].
+) -> list[int]:
+    """Seeded random subsets of Z_T with sizes in [min_size, max_size], each
+    as a bitmask (bit v for element v), in draw order.
 
-    Stream contract: for any ``random.Random`` the list, and the state ``rng``
+    Stream contract: for any ``random.Random`` the sets, and the state ``rng``
     is left in, equal those of drawing each set as
-    ``tuple(sorted(rng.sample(range(T), rng.randint(min_size, max_size))))``.
+    ``rng.sample(range(T), rng.randint(min_size, max_size))``.
     The draws are made straight from ``rng.getrandbits``, as CPython's
     ``_randbelow(m)`` makes them: ``getrandbits(m.bit_length())`` repeated
     until the result is below m (a span of one still draws). The size is
@@ -505,7 +589,7 @@ def random_subsets(
         else None
         for s in range(max_size + 1)
     ]
-    values = list(range(big_t))
+    bits = [1 << v for v in range(big_t)]  # the pool holds each element's bit
     out = []
     for _ in range(r):
         size = getrandbits(span_bits)
@@ -513,23 +597,34 @@ def random_subsets(
             size = getrandbits(span_bits)
         size += min_size
         pool_steps = steps[size]
+        mask = 0
         if pool_steps is None:
-            drawn = set()
             for _ in range(size):
                 j = getrandbits(t_bits)
-                while j >= big_t or j in drawn:
+                while j >= big_t or mask >> j & 1:
                     j = getrandbits(t_bits)
-                drawn.add(j)
+                mask |= 1 << j
         else:
-            pool, drawn = values[:], []
-            for n, bits in pool_steps:
-                j = getrandbits(bits)
+            pool = bits[:]
+            for n, n_bits in pool_steps:
+                j = getrandbits(n_bits)
                 while j >= n:
-                    j = getrandbits(bits)
-                drawn.append(pool[j])
+                    j = getrandbits(n_bits)
+                mask |= pool[j]
                 pool[j] = pool[n - 1]
-        out.append(tuple(sorted(drawn)))
+        out.append(mask)
     return out
+
+
+def random_subsets(
+    big_t: int, r: int, rng: random.Random, min_size: int = 2, max_size: Optional[int] = None
+) -> list[tuple[int, ...]]:
+    """The sets of :func:`random_subset_masks` as sorted tuples: for any
+    ``random.Random`` the list, and the state ``rng`` is left in, equal those
+    of drawing each set as
+    ``tuple(sorted(rng.sample(range(T), rng.randint(min_size, max_size))))``.
+    The same sizes and rngs are refused."""
+    return list(map(_elements, random_subset_masks(big_t, r, rng, min_size, max_size)))
 
 
 def ghz_bias_subgroup(k: int) -> tuple[int, Subgroup]:

@@ -63,8 +63,12 @@ class Edge:
             raise MalformedTree("edge blocks must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
+    """Internal node. Nodes compare by value, like the other parts of a tree,
+    but each pair of node objects is compared once (:func:`_same_nodes`), so
+    two equal DAGs compare in one step per distinct pair, not per path."""
+
     party: int
     edges: tuple[Edge, ...]
     #: leaves under the edges before each edge, then the node's leaf count
@@ -83,6 +87,42 @@ class Node:
             below = e.child.leaf_offsets[-1] if isinstance(e.child, Node) else 1
             offsets.append(offsets[-1] + below)
         object.__setattr__(self, "leaf_offsets", tuple(offsets))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Node:
+            return NotImplemented
+        return _same_nodes(self, other)
+
+    def __hash__(self) -> int:
+        # equal nodes have equal speakers and blocks; the children are left
+        # out, so hashing does not walk the paths below
+        return hash((self.party, tuple(e.inputs for e in self.edges)))
+
+
+def _same_nodes(a: Node, b: Node) -> bool:
+    """Whether the subtrees under ``a`` and ``b`` are equal, comparing each
+    pair of node objects met at the same place once. A pair met again is
+    taken as equal: the walk ends False as soon as any pair differs."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if a.__class__ is not b.__class__:
+            return False
+        if isinstance(a, Leaf):
+            if a != b:
+                return False
+            continue
+        if a.party != b.party or len(a.edges) != len(b.edges):
+            return False
+        for e, f in zip(a.edges, b.edges):
+            if e.inputs != f.inputs:
+                return False
+            stack.append((e.child, f.child))
+    return True
 
 
 @dataclass(frozen=True)

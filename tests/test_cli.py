@@ -122,7 +122,7 @@ def test_addition_checks_t_and_r_before_drawing(capsys, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew subsets for a request that must be refused")
 
-    monkeypatch.setattr(cyclic, "random_subsets", no_draw)
+    monkeypatch.setattr(cyclic, "random_subset_masks", no_draw)
     code, out, err = run_cli(capsys, "addition", "--t", "4", "--r", "-1")
     assert_one_line_exit_two(code, out, err, "TooFewSets")
     assert "need r >= T^3 = 64 sets, got r = -1" in err
@@ -133,6 +133,9 @@ def test_addition_checks_t_and_r_before_drawing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "addition", "--t", "8", "--r", "511")
     assert_one_line_exit_two(code, out, err, "TooFewSets")
     assert "got r = 511" in err
+    # the control: a valid request does reach the patched draw
+    with pytest.raises(AssertionError, match="drew subsets"):
+        run_cli(capsys, "addition", "--t", "8", "--r", "512")
 
 
 def test_addition_budget_bounds_the_draw(capsys):

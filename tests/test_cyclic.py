@@ -26,10 +26,13 @@ from nonlocal_lab.cyclic import (
     multiset_sum,
     power,
     product,
+    random_subset_masks,
     random_subsets,
     repeated_pair_sum,
     subgroup_bias,
+    verify_addition_masks,
     verify_addition_theorem,
+    verify_size2_masks,
     verify_size2_sets,
 )
 from nonlocal_lab.errors import (
@@ -385,6 +388,11 @@ def fold_sum(big_t, vectors):
     return MultisetZ(modulus=big_t, mult=total)
 
 
+def masks_of(big_t, sets):
+    """Each distinct set's bitmask (bit v for residue v mod T), counted."""
+    return Counter(sum(1 << v for v in {x % big_t for x in s}) for s in sets)
+
+
 def within_bound(bias, big_t, r):
     return bias != INFINITE and bias * bias * r <= 16 * big_t**3
 
@@ -402,9 +410,11 @@ def test_verifiers_equal_a_left_fold_over_the_raw_sets(big_t):
 
     total = fold_sum(big_t, [indicator(big_t, {v % big_t for v in s}) for s in sets])
     bias = subgroup_bias(total, half)
-    assert verify_addition_theorem(big_t, sets) == AdditionReport(
+    report = AdditionReport(
         subgroup=half, bias=bias, bound=bound, passed=within_bound(bias, big_t, r), set_count=r
     )
+    assert verify_addition_theorem(big_t, sets) == report
+    assert verify_addition_masks(big_t, masks_of(big_t, sets)) == report
 
     diffs = [max(vals) - min(vals) for vals in ({v % big_t for v in s} for s in pairs)]
     tally = Counter(diffs)
@@ -413,7 +423,7 @@ def test_verifiers_equal_a_left_fold_over_the_raw_sets(big_t):
     if sets is not pairs:
         total = fold_sum(big_t, [indicator(big_t, (0, b)) for b in diffs])
     bias = subgroup_bias(total, sub)
-    assert verify_size2_sets(big_t, pairs) == Size2Report(
+    report = Size2Report(
         subgroup=sub,
         majority_difference=majority,
         majority_count=tally[majority],
@@ -421,6 +431,8 @@ def test_verifiers_equal_a_left_fold_over_the_raw_sets(big_t):
         bound=bound,
         passed=within_bound(bias, big_t, r),
     )
+    assert verify_size2_sets(big_t, pairs) == report
+    assert verify_size2_masks(big_t, masks_of(big_t, pairs)) == report
     assert big_t == 2 or bias != 0  # the sets avoid T/2 differences: a real bias is compared
 
 
@@ -520,6 +532,79 @@ def test_random_subsets_refuses_an_rng_without_getrandbits():
 
     with pytest.raises(InvalidInput, match="getrandbits"):
         random_subsets(4, 10, Dice(0))
+
+
+def elements(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_subset_masks_follow_the_sample_stream():
+    # sizes <= 5 at T = 32 and 64 take sample's set case, all others its pool case
+    for big_t in (2, 4, 8, 16, 32, 64):
+        for min_size, max_size in (
+            (0, 0), (0, 2), (0, big_t), (2, 2), (2, big_t), (big_t, big_t), (2, 5)
+        ):
+            if max_size > big_t:
+                continue
+            for seed in range(3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                masks = random_subset_masks(big_t, 50, ours, min_size, max_size)
+                assert all(0 <= m < 1 << big_t for m in masks)
+                assert list(map(elements, masks)) == _sample_reference(
+                    big_t, 50, theirs, min_size, max_size
+                )
+                assert ours.getstate() == theirs.getstate()
+
+
+def test_subset_masks_refuse_a_bad_size_range_and_rng():
+    rng = random.Random(0)
+    for min_size, max_size in ((-1, 2), (3, 2), (2, 5)):
+        message = re.escape(f"need 0 <= min_size <= max_size <= T, got {min_size}, {max_size}")
+        for draw in (random_subset_masks, random_subsets):
+            with pytest.raises(InvalidInput, match=message):
+                draw(4, 10, rng, min_size=min_size, max_size=max_size)
+
+    class Dice(random.Random):
+        def random(self):
+            return 0.5
+
+    with pytest.raises(InvalidInput, match="rng must draw through getrandbits, got Dice"):
+        random_subset_masks(4, 10, Dice(0))
+    assert rng.getstate() == random.Random(0).getstate()  # refused before drawing
+
+
+@pytest.mark.parametrize("big_t, r", [(2, 8), (4, 640), (8, 4096), (16, 4096)])
+def test_mask_verifiers_equal_the_set_verifiers_on_one_draw(big_t, r):
+    for seed in range(2):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        general = Counter(random_subset_masks(big_t, r, ours))
+        assert verify_addition_masks(big_t, general) == verify_addition_theorem(
+            big_t, random_subsets(big_t, r, theirs)
+        )
+        pairs = Counter(random_subset_masks(big_t, r, ours, 2, 2))
+        assert verify_size2_masks(big_t, pairs) == verify_size2_sets(
+            big_t, random_subsets(big_t, r, theirs, 2, 2)
+        )
+
+
+def test_mask_verifiers_check_each_distinct_mask():
+    good = Counter({0b11: 63})
+    for verify, least in ((verify_addition_masks, 2), (verify_size2_masks, 1)):
+        with pytest.raises(NotPowerOfTwo, match="got 3$"):
+            verify(3, good)
+        with pytest.raises(TooFewSets, match="need at least T\\^3 = 64 sets, got 63$"):
+            verify(4, good)
+        for bad in (0b10000, -1, 1.0, "3"):
+            with pytest.raises(InvalidInput, match=re.escape(f"ints in [0, 2^T), got {bad!r}")):
+                verify(4, good + Counter({bad: 1}))
+        for bad in (0, -2, 1.5):
+            with pytest.raises(InvalidInput, match=f"set counts must be ints >= 1, got {bad}"):
+                verify(4, {0b11: 64, 0b101: bad})
+        with pytest.raises(InvalidInput, match=r"distinct elements, got \(2,\)$"):
+            verify(4, good + Counter({0b100: 1}))
+    with pytest.raises(InvalidInput, match=r"exactly 2 distinct elements, got \(0, 1, 3\)$"):
+        verify_size2_masks(4, good + Counter({0b1011: 1}))
+    assert verify_addition_masks(4, good + Counter({0b1011: 1})).set_count == 64
 
 
 def test_residue_kernel_cross_module_oracle():

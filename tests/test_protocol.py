@@ -595,3 +595,44 @@ def test_cost_and_leaves_of_a_chain_deeper_than_the_recursion_limit():
     tree = ProtocolTree(n=1, k=2, root=v)
     assert cost_details(tree) == CostReport(worst_case=1, per_leaf=(1, 1))
     assert len(distinct_leaves([tree])) == 2
+
+
+def first_leaf(tree):
+    v = tree.root
+    while isinstance(v, Node):
+        v = v.edges[0].child
+    return v
+
+
+def with_first_leaf(tree, new_leaf):
+    """A copy of ``tree`` whose first path ends in ``new_leaf``: the nodes on
+    that path are copied, everything else is shared with ``tree``."""
+    path, v = [], tree.root
+    while isinstance(v, Node):
+        path.append(v)
+        v = v.edges[0].child
+    for node in reversed(path):
+        head = Edge(inputs=node.edges[0].inputs, child=new_leaf)
+        new_leaf = Node(party=node.party, edges=(head, *node.edges[1:]))
+    return ProtocolTree(n=tree.n, k=tree.k, root=new_leaf)
+
+
+def test_equal_dags_compare_once_per_pair_of_nodes(monkeypatch):
+    # 4^10 paths through 76 distinct built nodes and fewer decoded ones
+    tree = broadcast_strategy(GhzInstance(n=10, k=4))
+    decoded = tree_from_json(tree_to_json(tree))
+    assert node_counts(decoded)[0] < node_counts(tree)[0] == 76
+    compared = []
+    leaf_eq = Leaf.__eq__
+    monkeypatch.setattr(Leaf, "__eq__", lambda a, b: compared.append(1) or leaf_eq(a, b))
+    assert decoded == tree and tree == decoded
+    assert hash(decoded) == hash(tree)
+    assert 0 < len(compared) <= 2 * 76 * 76  # once per pair of leaves, not per path
+
+    # one deep leaf with a table entry flipped, at the end of a path of copied nodes
+    tables = first_leaf(tree).lhv.tables
+    assert with_first_leaf(tree, leaf(tables)) == decoded
+    flipped = [list(t) for t in tables]
+    flipped[-1][0] ^= 1
+    changed = with_first_leaf(tree, leaf(flipped))
+    assert changed != tree and changed != decoded and decoded != changed
