@@ -15,8 +15,9 @@ Submodules:
   the resulting communication/efficiency trade-off inequality.
 * :mod:`nonlocal_lab.cyclic`: exact multiset sums over cyclic groups and
   near-uniformity (bias) bound verification.
-* :mod:`nonlocal_lab.search`: exhaustive and LP-based optimal classical
-  figures at small instance sizes.
+* :mod:`nonlocal_lab.search`: optimal classical figures (eta* and the
+  click-only minimum error) from rotation classes of tables, and the
+  trade-off table.
 * :mod:`nonlocal_lab.serialize`: JSON codecs for the files and reports the
   command line reads and writes.
 * :mod:`nonlocal_lab.cli`: the ``nonlocal-lab`` command-line surface.
@@ -125,15 +126,13 @@ from .cyclic import (
     verify_size2_sets,
 )
 from .search import (
-    DetectorColumns,
+    ClassPoints,
     SearchReport,
     TradeoffRow,
     TradeoffTable,
-    best_deterministic_error,
-    best_deterministic_error_from_columns,
-    detector_columns,
-    eta_star_from_columns,
-    eta_star_lp,
+    class_points,
+    click_only_minimum,
+    eta_star,
     model_respects_rectangle_bound,
     tradeoff_table,
 )

@@ -166,20 +166,10 @@ def cmd_lhv_eval(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = ghz.GhzInstance(n=args.n, k=args.k)
-    # the strategies need only the shape: refuse them before building inputs
-    search.check_strategy_budget(inst.n, inst.k, ghz.OUTPUTS, args.budget)
-    problem = ghz.ghz_problem(inst, budget=args.budget)
-    columns = search.detector_columns(problem, budget=args.budget)
-    det = search.best_deterministic_error_from_columns(columns)
-    lp = search.eta_star_from_columns(columns, args.eps_budget)
-
-    # re-check both witnesses through the model metrics
-    det_mixture = model.MixedLhv(components=((det.witness, Fraction(1)),))
-    det_metrics = model.mixed_lhv_metrics(det_mixture, problem)
-    ok = det_metrics.eps == det.optimum
-    if lp.witness is not None and lp.optimum > 0:
-        lp_metrics = model.mixed_lhv_metrics(lp.witness, problem)
-        ok = ok and lp_metrics.eta_n == lp.optimum and lp_metrics.eps <= args.eps_budget
+    points = search.class_points(inst, budget=args.budget)
+    det = search.click_only_minimum(points)
+    lp = search.eta_star(points, args.eps_budget)
+    route, ok = search.recheck_witnesses(inst, args.eps_budget, lp, det, args.budget)
     report = {
         "command": "search",
         "params": {
@@ -196,9 +186,13 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict, bool]:
         "eta_star_lp": {
             "optimum": lp.optimum,
             "enumerated": lp.enumerated,
-            "witness": serialize.mixed_lhv_to_json(lp.witness) if lp.witness else None,
+            "witness": {
+                **serialize.mixed_lhv_to_json(lp.witness),
+                "averaged_over": search.AVERAGED_OVER,
+            },
         },
         "witnesses_recheck": ok,
+        "witnesses_recheck_by": route,
         "passed": ok,
     }
     return report, ok

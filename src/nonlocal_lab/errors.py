@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+import sys
+from typing import Callable, Optional
 
 
 class NonlocalLabError(Exception):
@@ -49,6 +51,17 @@ def printable(count: int, formula: str) -> int | str:
     return count
 
 
+def log2_comb_lower(a: int, b: int) -> float:
+    """A lower bound on log2 C(a, b) for 0 <= b <= a, C(a, b) >= (a/b)^b
+    with b the smaller side, in floats: no binomial is built."""
+    b = min(b, a - b)
+    if b <= 0:
+        return 0.0
+    if b.bit_length() > 1000:  # a/b >= 2, so the bound is at least b
+        return math.ldexp(1.0, 1000)
+    return b * (math.log2(a) - math.log2(b))
+
+
 def check_budget(
     count_at: Callable[[int], int],
     size: int,
@@ -58,6 +71,7 @@ def check_budget(
     at: str,
     name: str = "n",
     least: int = 2,
+    log2_at: Optional[Callable[[int], float]] = None,
 ) -> int:
     """The one budget rule: return ``count_at(size)``, the number of
     ``noun`` a request of this ``size`` enumerates, or raise
@@ -67,19 +81,29 @@ def check_budget(
     (such as ``k=2``), or that none fits when that size is below ``least``,
     the smallest a request may have. Counts rise with the size, so only a
     refusal runs the doubling then bisecting search for that size.
+
+    ``log2_at``, a lower bound on log2 of the count that builds no big int,
+    refuses a count far over the budget unbuilt, printing ``formula`` past
+    the digit limit: a binomial of a million digits costs nothing.
     """
-    count = count_at(size)
-    if count <= budget:
-        return count
+
+    def over(m: int) -> bool:
+        bound = log2_at is not None and log2_at(m) > budget.bit_length() + 1
+        return bound or count_at(m) > budget
+
+    if not over(size):
+        return count_at(size)
     lo, hi = 0, 1
-    while count_at(hi) <= budget:
+    while not over(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if count_at(mid) <= budget else (lo, mid)
+        lo, hi = (lo, mid) if over(mid) else (mid, hi)
     fits = f"fits at {at}"
     closing = f"the largest {name} that {fits} is {lo}" if lo >= least else f"no {name} {fits}"
-    count_txt = printable(count, formula)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    unbuilt = log2_at is not None and digits and log2_at(size) > digits * math.log2(10) + 1
+    count_txt = formula if unbuilt else printable(count_at(size), formula)
     raise BudgetExceeded(f"{count_txt} {noun} exceed the budget of {budget}; {closing}")
 
 

@@ -21,7 +21,14 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import orbits
 from .cyclic import indicator, power
-from .errors import DEFAULT_BUDGET, CrossCheckMismatch, InvalidInput, LengthMismatch, check_budget
+from .errors import (
+    DEFAULT_BUDGET,
+    CrossCheckMismatch,
+    InvalidInput,
+    LengthMismatch,
+    check_budget,
+    log2_comb_lower,
+)
 from .model import CorrelationProblem, DeterministicLhv, InputVector, OutcomeVector, ZERO
 from .protocol import Edge, Leaf, MixedProtocol, Node, ProtocolTree, SHARED
 
@@ -187,7 +194,8 @@ def check_input_budget(inst: GhzInstance, budget: int) -> int:
 
 def check_orbit_budget(inst: GhzInstance, budget: int) -> int:
     """The work of :func:`equivalence_max_deviation`, C(n+k-1, k-1)
-    multisets times n overlap factors, refused over ``budget``."""
+    multisets times n overlap factors, refused over ``budget``; a count far
+    past the budget is refused without building the binomial."""
     n, k = inst.n, inst.k
     return check_budget(
         lambda m: orbits.orbit_pass_size(m, k),
@@ -196,6 +204,7 @@ def check_orbit_budget(inst: GhzInstance, budget: int) -> int:
         "overlap factors",
         f"C({n + k - 1},{k - 1})*{n}",
         f"k={k}",
+        log2_at=lambda m: log2_comb_lower(m + k - 1, k - 1) + math.log2(m),
     )
 
 

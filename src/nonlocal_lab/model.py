@@ -423,6 +423,12 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
     nothing. The click rows are then scored by :func:`_score`. Agrees exactly
     with ``evaluate_mixed_lhv`` plus the separate metric functions.
     """
+    return _score(*_click_rows(m, problem), problem)
+
+
+def _click_rows(m: MixedLhv, problem: CorrelationProblem) -> tuple[dict, int]:
+    """The click rows of :func:`mixed_lhv_metrics`: per supported input where
+    the model clicks, its mass per click outcome as numerators over ``den``."""
     if (m.n, m.k) != (problem.n, problem.k):
         raise ArityMismatch(
             f"model is ({m.n}, {m.k}) but problem is ({problem.n}, {problem.k})"
@@ -455,7 +461,7 @@ def mixed_lhv_metrics(m: MixedLhv, problem: CorrelationProblem) -> ModelMetrics:
             for lhv, w in comps:
                 a = lhv.outputs(x)
                 row[a] = row.get(a, 0) + w
-    return _score(click_rows, den, problem)
+    return click_rows, den
 
 
 def _score(

@@ -30,6 +30,7 @@ from .errors import (
     EmptyWeight,
     InvalidInput,
     check_budget,
+    log2_comb_lower,
 )
 from .ghz import OUTPUTS, GhzInstance
 from .model import CorrelationProblem, OutcomeVector, all_click
@@ -323,6 +324,7 @@ def scan_rectangles(
         "rectangle classes",
         f"C({n}+2^{k}-2, 2^{k}-1)",
         f"k={k}",
+        log2_at=lambda m: log2_comb_lower(m + nparts - 1, nparts - 1),
     )
     if not deltas:
         return ()  # nothing to fold, so nothing to scan

@@ -1,26 +1,36 @@
-"""Optimal classical figures at small instance sizes: exhaustive minimum
-error over deterministic click-only strategies, maximum input-independent
-all-click probability via an exact LP, and the communication/efficiency
-trade-off table.
+"""Optimal classical figures of the GHZ problem: eta*(eps), the largest
+input-independent all-click probability of a local model with silent
+detectors at error at most eps; the least error of a click-only strategy;
+and the communication/efficiency trade-off table.
 
-One bitmask walk over the silent-allowed strategies gives both figures. Per
-click pattern over the support it keeps the strategy of lowest forbidden
-mass: these are the LP's columns, 12 instead of 729 strategies at n=3, k=2,
-148 at n=5 and 506 at n=6, and the column that clicks on the whole support
-is the click-only minimum. The walk needs each input's forbidden outcomes to
-be none or one output-parity class, as in the GHZ problem. The integer
-simplex (:mod:`nonlocal_lab.simplex`) solves the LP, and every optimum is
-checked against the dual certificate the solver returns.
+A party's table t is the polynomial P_t, the sum of z^(x + k*t(x)) over its
+clicks, in Z[z]/(z^(2k) - 1). In a strategy's product, the coefficient of
+z^0 counts the valid inputs where all parties click with the promised
+output parity, and that of z^k those with the other parity. z^s P_t is
+again a table's polynomial (:func:`rotate`), so one product per multiset of
+n rotation types (:func:`table_types`), read at its 2k rotations, gives
+every strategy's (click, wrong) counts, with no walk over strategies.
+
+Shifting the settings by s with sum(s) = 0 mod 2k keeps these counts and
+acts transitively on the valid inputs, so a mixture averaged over the shifts
+clicks on every valid input with its mean click mass. The LP "every valid
+input clicks with probability q, wrong mass at most eps*q" thus has the
+optimum of a two-row LP over the points (m, e) = counts / k**(n-1):
+maximise sum w*m with sum w = 1 and sum w*(e - eps*m) <= 0. An optimum
+mixes at most two strategies. Only click-only strategies click everywhere,
+so the click-only minimum is the least e at m = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from .cyclic import indicator, product
 from .errors import (
     DEFAULT_BUDGET,
     CrossCheckMismatch,
@@ -30,12 +40,7 @@ from .errors import (
     table_fits,
 )
 from .ghz import OUTPUTS, GhzInstance, broadcast_prefix_stats, ghz_problem
-from .model import (
-    CorrelationProblem,
-    DeterministicLhv,
-    MixedLhv,
-    ZERO,
-)
+from .model import ZERO, DeterministicLhv, Entry, MixedLhv, _click_rows, _score, mixed_lhv_metrics
 from .rectangles import (
     ScanResult,
     eta_n_bound,
@@ -49,6 +54,9 @@ ONE = Fraction(1)
 #: one LP constraint row: coefficients and right-hand side
 LpRow = tuple[list[Fraction], Fraction]
 
+#: the shifts an eta* witness's strategies are averaged over
+AVERAGED_OVER = "setting shifts s in Z_2k^n with sum(s) = 0 mod 2k"
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -59,185 +67,100 @@ class SearchReport:
     enumerated: int
 
 
-def _lowest_mass_per_pattern(
-    problem: CorrelationProblem,
-) -> list[tuple[int, Fraction, DeterministicLhv]]:
-    """Per click pattern over the support, the first silent-allowed strategy
-    of lowest forbidden mass: ``(pattern, mass, strategy)`` by rank in
-    ``itertools.product`` order (the silent symbol sorted last, the last
-    party fastest).
+def _poly(table: Sequence[Entry], k: int) -> tuple[int, ...]:
+    """The table's polynomial as a count vector over Z_2k."""
+    return indicator(2 * k, (x + k * a for x, a in enumerate(table) if a is not None))
 
-    A (party, table) is two masks over the support: where it clicks, and
-    where it outputs an odd value. The prefixes grow party by party with
-    ``pattern &= click`` and ``parity ^= odd`` from the promise; the
-    forbidden set ``pattern & parity`` is weighed by popcounts. A prefix
-    reaching the state of an earlier one of its length is dropped, since
-    every strategy it starts repeats an earlier one's pattern and mass.
-    Raises ``InvalidInput`` at the first input whose target row forbids
-    all-click outcomes other than exactly one output-parity class.
-    """
-    n, support = problem.n, problem.support
-    tables = list(itertools.product([*range(problem.l), None], repeat=problem.k))
-    outcomes = list(itertools.product(range(problem.l), repeat=n))
-    allowed: dict[int, Optional[int]] = {}  # id(row) -> allowed parity, None if unconstrained
-    by_setting = [[0] * problem.k for _ in range(n)]  # party -> setting -> inputs
-    constrained = promise = 0
-    for xi, x in enumerate(support):
-        row = problem.target[x]
-        if id(row) not in allowed:
-            cells = {(sum(a) % 2, row.get(a, 0) == 0) for a in outcomes}
-            bad = {parity for parity, forbidden in cells if forbidden}
-            if len(bad) > 1 or any((parity, False) in cells for parity in bad):
-                raise InvalidInput(f"the forbidden outcomes at input {x} are not one parity class")
-            allowed[id(row)] = 1 - bad.pop() if bad else None
-        if allowed[id(row)] is not None:
-            constrained |= 1 << xi
-            promise |= allowed[id(row)] << xi
-        for i, v in enumerate(x):
-            by_setting[i][v] |= 1 << xi
-    masks = [  # one party's per-setting masks are disjoint, so sums are unions
-        [
-            (
-                sum(inputs[v] for v, e in enumerate(t) if e is not None),
-                sum(inputs[v] for v, e in enumerate(t) if e is not None and e % 2) & constrained,
-            )
-            for t in tables
-        ]
-        for inputs in by_setting
-    ]
-    weights = [Fraction(problem.mu_weight(x)) for x in support]
-    den = lcm(*(w.denominator for w in weights))
-    groups: dict[int, int] = {}  # input weight in units of 1/den -> those inputs
-    for xi, w in enumerate(weights):
-        groups[int(w * den)] = groups.get(int(w * den), 0) | 1 << xi
-    s = len(tables)
-    # the distinct (pattern, parity) states of the prefixes so far, by first rank
-    level = {((1 << len(support)) - 1, promise): 0}
-    for party in masks:
-        reached: dict[tuple[int, int], int] = {}
-        for (pattern, parity), rank in level.items():
-            for t, (click, odd) in enumerate(party):
-                p = pattern & click
-                reached.setdefault((p, (parity ^ odd) & p), rank * s + t)
-        level = reached
-    kept: dict[int, tuple[int, int]] = {}  # pattern -> (mass in units of 1/den, rank)
-    for (p, q), rank in level.items():
-        m = sum(w * (q & inputs).bit_count() for w, inputs in groups.items())
-        if p not in kept or m < kept[p][0]:
-            kept[p] = (m, rank)
-    places = [s ** (n - 1 - i) for i in range(n)]  # rank digit of party i, base s
-    return [
-        (p, Fraction(m, den), DeterministicLhv(tables=tuple(tables[r // d % s] for d in places)))
-        for p, (m, r) in sorted(kept.items(), key=lambda item: item[1][1])
-    ]
+
+def rotate(table: Sequence[Entry], s: int, k: int) -> tuple[Entry, ...]:
+    """The binary table whose polynomial is z^s times ``table``'s: setting
+    x moves to (x + s) mod k, its output flipped on each wrap past k - 1."""
+    out: list[Entry] = [None] * k
+    for x, a in enumerate(table):
+        if a is not None:
+            e = (x + k * a + s) % (2 * k)
+            out[e % k] = e // k
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def table_types(k: int) -> tuple[tuple[Entry, ...], ...]:
+    """One binary table per rotation class of the nonzero table polynomials,
+    the first of its class in ``itertools.product`` order over (0, 1, None)."""
+    first: dict[tuple[int, ...], tuple[Entry, ...]] = {}
+    for t in itertools.product((0, 1, None), repeat=k):
+        v = _poly(t, k)
+        if any(v):
+            first.setdefault(min(v[s:] + v[:s] for s in range(2 * k)), t)
+    return tuple(first.values())
+
+
+@functools.lru_cache(maxsize=16)
+def type_count(k: int) -> int:
+    """The number of :func:`table_types` by Burnside's lemma: a rotation by
+    s fixes the polynomials constant mod d = gcd(s, 2k), only 0 when d
+    divides k (a table clicks once at most on x and x + k), else 3^(d/2)."""
+    m = 2 * k
+    fixed = sum(1 if k % d == 0 else 3 ** (d // 2) for d in (math.gcd(s, m) for s in range(m)))
+    return fixed // m - 1
+
+
+def check_class_budget(n: int, k: int, budget: int) -> int:
+    """The work of :func:`class_points`, C(T+n-1, n) product classes (multisets
+    of the T table types) of n factors each, refused over ``budget`` before
+    any table is typed; from T >= 3^k/(4k) alone when far past it."""
+    log2_types = k * math.log2(3) - math.log2(4 * k)
+
+    def log2_at(m: int) -> float:  # C(T+m-1, m) >= max(T, (T/m)^m)
+        spread = log2_types - math.log2(m)
+        return max(log2_types, m * spread if spread > 0 else 0.0) + math.log2(m)
+
+    return check_budget(
+        lambda m: math.comb(type_count(k) + m - 1, m) * m,
+        n,
+        budget,
+        "product-class factors",
+        f"C(T+{n - 1},{n})*{n} (T~3^{k}/{2 * k} table types)",
+        f"k={k}",
+        log2_at=log2_at,
+    )
 
 
 @dataclass(frozen=True)
-class DetectorColumns:
-    """The columns of the eta* LP for one problem, one per distinct click
-    pattern over ``problem.support``.
+class ClassPoints:
+    """Per click count over the valid inputs, the least wrong count of a
+    deterministic strategy and the first strategy found with it;
+    ``enumerated`` counts the product classes multiplied."""
 
-    A silent-allowed strategy enters the LP only through the supported
-    inputs on which every party clicks (a bitmask over the support, bit ``i``
-    for ``support[i]``) and its forbidden mass there. Among strategies with
-    the same pattern, the one with the lowest forbidden mass dominates: a
-    mixture can move its weight onto it, keeping every click row and not
-    raising the error row. So the LP over these columns has the same optimum
-    as the LP over every strategy.
-    """
-
-    problem: CorrelationProblem
-    strategies: tuple[DeterministicLhv, ...]
-    patterns: tuple[int, ...]
-    err_coef: tuple[Fraction, ...]
+    inst: GhzInstance
+    least_wrong: Mapping[int, tuple[int, DeterministicLhv]]
     enumerated: int
 
 
-def check_strategy_budget(n: int, k: int, l: int, budget: int) -> int:
-    """The (l+1)**(n*k) silent-allowed strategies of an (n, k, l) problem,
-    refused over ``budget`` with the largest party count that fits at this
-    ``k``. It needs only the shape, so a caller can refuse before building
-    the problem."""
-    s = l + 1
-    return check_budget(lambda m: s ** (m * k), n, budget, "strategies", f"{s}^{n * k}", f"k={k}")
-
-
-def detector_columns(
-    problem: CorrelationProblem, budget: int = DEFAULT_BUDGET
-) -> DetectorColumns:
-    """Over every silent-allowed deterministic strategy, lexicographic with
-    the silent symbol sorted last, keep per click pattern the one with the
-    lowest forbidden mass (the first such strategy on ties), in enumeration
-    order. ``DeterministicLhv`` objects are built only for the kept columns.
-    The (l+1)**(n*k) strategies are refused over ``budget`` before anything
-    is built, with the largest party count that fits at this ``k``.
-    """
-    total = check_strategy_budget(problem.n, problem.k, problem.l, budget)
-    patterns, masses, strategies = zip(*_lowest_mass_per_pattern(problem))
-    return DetectorColumns(problem, strategies, patterns, masses, enumerated=total)
-
-
-def best_deterministic_error_from_columns(columns: DetectorColumns) -> SearchReport:
-    """The click-only minimum of :func:`best_deterministic_error` read off
-    prebuilt columns: the mass and strategy of the column whose pattern is
-    the whole support.
-
-    Every click-only strategy has that pattern, and a silent entry on a
-    setting no supported input uses can be any output instead without
-    changing pattern or mass. So the column's mass is the click-only minimum,
-    and its strategy, the first of that mass with silent sorted last, is
-    click-only and the first minimum in lexicographic order.
-    """
-    problem = columns.problem
-    j = columns.patterns.index((1 << len(problem.support)) - 1)
-    optimum, witness = columns.err_coef[j], columns.strategies[j]
-    if optimum:
-        enumerated = problem.l ** (problem.n * problem.k)
-    else:  # up to the witness: its click-only rank, entries as base-l digits, party 0 first
-        rank = 0
-        for entry in itertools.chain.from_iterable(witness.tables):
-            rank = rank * problem.l + entry
-        enumerated = rank + 1
-    return SearchReport(optimum=optimum, witness=witness, enumerated=enumerated)
-
-
-def best_deterministic_error(
-    problem: CorrelationProblem, budget: int = DEFAULT_BUDGET
-) -> SearchReport:
-    """Exhaustive minimum of the forbidden-outcome error over click-only
-    deterministic strategies.
-
-    Mixtures cannot do better: the error is linear in the mixing weights, so
-    the minimum over the simplex is attained at a vertex. Ties are broken by
-    the first strategy in lexicographic order. ``enumerated`` counts the
-    strategies up to and including that witness when the minimum is 0, and
-    all l**(n*k) of them otherwise. The figure is read off the eta* LP's
-    columns (:func:`best_deterministic_error_from_columns`), so ``budget``
-    caps the (l+1)**(n*k) silent-allowed strategies they walk: from n=8, k=2
-    on, a request is refused at the default budget.
-    """
-    return best_deterministic_error_from_columns(detector_columns(problem, budget))
-
-
-def eta_star_program(
-    columns: DetectorColumns, eps_budget: Fraction
-) -> tuple[list[Fraction], list[LpRow], list[LpRow]]:
-    """The eta* LP over prebuilt columns as ``(objective, eq_rows,
-    ub_rows)`` for :func:`solve_lp_max`.
-
-    Variables: one mixture weight per column, then q. Equality rows: the
-    weights sum to 1, and each supported input's click mass equals q. The
-    one <=-row: the forbidden mass is at most eps * q.
-    """
-    problem = columns.problem
-    m = len(columns.strategies)
-    objective = [ZERO] * m + [ONE]
-    eq_rows: list[LpRow] = [([ONE] * m + [ZERO], ONE)]
-    for xi in range(len(problem.support)):
-        row = [ONE if p >> xi & 1 else ZERO for p in columns.patterns] + [-ONE]
-        eq_rows.append((row, ZERO))
-    ub_rows: list[LpRow] = [(list(columns.err_coef) + [-Fraction(eps_budget)], ZERO)]
-    return objective, eq_rows, ub_rows
+def class_points(inst: GhzInstance, budget: int = DEFAULT_BUDGET) -> ClassPoints:
+    """One ``cyclic.product`` per multiset of n table types, in
+    ``combinations_with_replacement`` order, read at rotations r upward; the
+    strategy at rotation r has party 0's table turned by -r."""
+    n, k = inst.n, inst.k
+    check_class_budget(n, k, budget)
+    reps = table_types(k)
+    vectors = [_poly(t, k) for t in reps]
+    m = 2 * k
+    best: dict[int, tuple[int, tuple[int, ...], int]] = {}
+    classes = 0
+    for combo in itertools.combinations_with_replacement(range(len(reps)), n):
+        classes += 1
+        p = product([vectors[i] for i in combo])
+        for r in range(m):
+            wrong = p[(r + k) % m]
+            clicks = p[r] + wrong
+            if clicks not in best or wrong < best[clicks][0]:
+                best[clicks] = (wrong, combo, r)
+    least_wrong = {}
+    for clicks, (wrong, combo, r) in best.items():
+        tables = (rotate(reps[combo[0]], -r, k), *(reps[i] for i in combo[1:]))
+        least_wrong[clicks] = (wrong, DeterministicLhv(tables=tables))
+    return ClassPoints(inst=inst, least_wrong=least_wrong, enumerated=classes)
 
 
 def check_dual_certificate(
@@ -246,11 +169,10 @@ def check_dual_certificate(
     ub_rows: Sequence[LpRow],
     result: LpResult,
 ) -> None:
-    """Check exactly that ``result.dual`` proves ``result.objective`` optimal:
-    nonnegative on the <=-rows, ``A^T y >= c`` on every column, and
-    ``b . y`` equal to the optimum. Weak duality then bounds every feasible
-    point, so the verdict does not rest on the simplex alone. Raises
-    ``CrossCheckMismatch`` otherwise."""
+    """Check exactly that ``result.dual`` proves ``result.objective`` optimal
+    (nonnegative on the <=-rows, ``A^T y >= c`` on every column, ``b . y``
+    equal to the optimum), so the verdict does not rest on the simplex
+    alone; for the eta* LP it is the supporting line of the points."""
     rows = list(eq_rows) + list(ub_rows)
     dual = result.dual
     if len(dual) != len(rows):
@@ -259,59 +181,99 @@ def check_dual_certificate(
         raise CrossCheckMismatch("dual is negative on a <=-row")
     if sum((y * b for y, (_, b) in zip(dual, rows)), ZERO) != result.objective:
         raise CrossCheckMismatch("dual objective differs from the LP optimum")
-    # A^T y >= c column by column, in integers: y over the lcm of its
-    # denominators, coefficients and c over the lcm of theirs
-    y_den = lcm(*{y.denominator for y in dual})
-    a_den = lcm(
-        *{v.denominator for coeffs, _ in rows for v in coeffs},
-        *{c.denominator for c in objective},
-    )
-    active = [
-        (y.numerator * (y_den // y.denominator), coeffs)
-        for y, (coeffs, _) in zip(dual, rows)
-        if y
-    ]
+    active = [(y, coeffs) for y, (coeffs, _) in zip(dual, rows) if y]
     for j, c in enumerate(objective):
-        total = 0
-        for y, coeffs in active:
-            a = coeffs[j]
-            if a:
-                total += y * a.numerator * (a_den // a.denominator)
-        if total < c.numerator * (a_den // c.denominator) * y_den:
+        if sum((y * coeffs[j] for y, coeffs in active), ZERO) < c:
             raise CrossCheckMismatch(f"dual is infeasible on LP column {j}")
 
 
-def eta_star_from_columns(columns: DetectorColumns, eps_budget: Fraction) -> SearchReport:
-    """Solve the eta* LP of :func:`eta_star_lp` on prebuilt columns, so a
-    sweep over error budgets enumerates the strategies once. The optimum is
-    checked against the solver's dual (:func:`check_dual_certificate`)."""
+def eta_star(points: ClassPoints, eps_budget: Fraction) -> SearchReport:
+    """eta*(eps), the two-row LP over the points, checked against its dual.
+    The witness's at most two strategies reach eta* on every valid input
+    once averaged over the shifts (:func:`shift_average`)."""
     if eps_budget < 0:
         raise Infeasible("a negative error budget admits no model")
-    m = len(columns.strategies)
-    objective, eq_rows, ub_rows = eta_star_program(columns, eps_budget)
+    total = points.inst.valid_input_count()
+    clicks = sorted(points.least_wrong)
+    objective = [Fraction(c, total) for c in clicks]
+    eq_rows: list[LpRow] = [([ONE] * len(clicks), ONE)]
+    errors = [Fraction(points.least_wrong[c][0], total) - eps_budget * m
+              for c, m in zip(clicks, objective)]
+    ub_rows: list[LpRow] = [(errors, ZERO)]
     result = solve_lp_max(objective, eq_rows, ub_rows)
     check_dual_certificate(objective, eq_rows, ub_rows, result)
-    components = tuple(
-        (lhv, w) for lhv, w in zip(columns.strategies, result.solution[:m]) if w > 0
-    )
-    witness = MixedLhv(components=components) if components else None
-    return SearchReport(optimum=result.solution[m], witness=witness, enumerated=columns.enumerated)
+    used = [(points.least_wrong[c][1], w) for c, w in zip(clicks, result.solution) if w]
+    witness = MixedLhv(components=tuple(used))
+    return SearchReport(optimum=result.objective, witness=witness, enumerated=points.enumerated)
 
 
-def eta_star_lp(
-    problem: CorrelationProblem, eps_budget: Fraction, budget: int = DEFAULT_BUDGET
-) -> SearchReport:
-    """Maximum all-click probability of a mixture of silent-allowed
-    deterministic strategies whose all-click probability is the same for
-    every supported input and whose conditional error stays within budget.
+def click_only_minimum(points: ClassPoints) -> SearchReport:
+    """The least error of a click-only strategy, the least wrong count at
+    click mass 1; no mixture does better, the error being linear."""
+    total = points.inst.valid_input_count()
+    wrong, witness = points.least_wrong[total]
+    return SearchReport(Fraction(wrong, total), witness, points.enumerated)
 
-    Exact rational LP: variables are the mixture weights, one per distinct
-    click pattern (:func:`detector_columns`), and the common all-click
-    probability q, to which each input's click mass is pinned
-    (input-independent efficiency). ``budget`` caps the (l+1)**(n*k)
-    enumerated strategies.
-    """
-    return eta_star_from_columns(detector_columns(problem, budget), eps_budget)
+
+def strategy_counts(lhv: DeterministicLhv) -> tuple[int, int]:
+    """One binary strategy's (click, wrong) counts over the valid inputs,
+    from the product of its own tables' polynomials."""
+    k = lhv.k
+    p = product([_poly(t, k) for t in lhv.tables])
+    return p[0] + p[k], p[k]
+
+
+def shift_average(witness: MixedLhv, k: int) -> MixedLhv:
+    """``witness`` averaged over the k**(n-1) setting shifts with s_i in
+    0..k-1 for i < n and s_n = -(s_1 + ... + s_{n-1}) mod 2k, which act
+    regularly on the valid inputs: every valid input then clicks with the
+    witness's mean click mass."""
+    n = witness.n
+    weights = [(lhv.tables, w / k ** (n - 1)) for lhv, w in witness.components]
+    components = []
+    for head in itertools.product(range(k), repeat=n - 1):
+        shifts = (*head, -sum(head))
+        for tables, w in weights:
+            shifted = tuple(map(rotate, tables, shifts, [k] * n))
+            components.append((DeterministicLhv(tables=shifted), w))
+    return MixedLhv(components=tuple(components))
+
+
+def recheck_witnesses(
+    inst: GhzInstance,
+    eps_budget: Fraction,
+    eta: SearchReport,
+    det: SearchReport,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[str, bool]:
+    """Re-check both witnesses off the class bookkeeping: the route, and the
+    verdict. ``"model_metrics"`` when the shift average's 2*k**(n-1)
+    components fit ``errors.table_fits``: under it every valid input clicks
+    with probability eta* at error at most eps, and the click-only witness
+    clicks everywhere with its error. Else ``"strategy_counts"``: the
+    witness strategies' own counts give both figures."""
+    total = inst.valid_input_count()
+    if table_fits(2 * total, budget):
+        problem = ghz_problem(inst, budget)
+        expanded = shift_average(eta.witness, inst.k)
+        # the rows behind mixed_lhv_metrics: click mass per input over den
+        rows, den = _click_rows(expanded, problem)
+        met = _score(rows, den, problem)
+        single = mixed_lhv_metrics(MixedLhv(components=((det.witness, ONE),)), problem)
+        ok = (
+            {sum(rows.get(x, {}).values()) for x in problem.support} == {eta.optimum * den}
+            and met.eps <= eps_budget
+            and single.eta_n == 1
+            and single.eps == det.optimum
+        )
+        return "model_metrics", ok
+    clicks = wrongs = ZERO
+    for lhv, w in eta.witness.components:
+        c, e = strategy_counts(lhv)
+        clicks += w * c
+        wrongs += w * e
+    ok = clicks == eta.optimum * total and wrongs <= eps_budget * clicks
+    return "strategy_counts", ok and strategy_counts(det.witness) == (total, det.optimum * total)
 
 
 @dataclass(frozen=True)
@@ -353,14 +315,14 @@ def tradeoff_table(
 
     Achievable points come from the broadcast-prefix family (converted to
     detector models, so eta**n = 2**-cost at the prefix error) and, when the
-    silent-allowed strategies fit the table rule (``errors.table_fits``), from
-    the exact no-communication LP. Prefix costs rise strictly with the
-    prefix, so at each eps the best prefix is the first one within eps, when
-    its cost is at most c. Bounds come from rectangle scans, capped by
-    ``budget``, at the given advantage thresholds; each achievable entry
-    must stay below the bound entry (checked by callers and the test suite;
-    a violation would signal an implementation bug). A negative bit count
-    or error budget is refused before the scan.
+    (l+1)**(n*k) silent-allowed strategies fit the table rule
+    (``errors.table_fits``), from :func:`eta_star` off one point set for the
+    grid. Prefix costs rise strictly with the prefix, so at each eps the best
+    prefix is the first one within eps, when its cost is at most c. Bounds
+    come from rectangle scans, capped by ``budget``, at the given advantage
+    thresholds; each achievable entry must stay below the bound entry
+    (checked by callers and the test suite). A negative bit count or error
+    budget is refused before the scan.
     """
     if any(c < 0 for c in c_grid):
         raise InvalidInput(f"bit count c must be >= 0, got {min(c_grid)}")
@@ -370,9 +332,9 @@ def tradeoff_table(
     prefix_points = [broadcast_prefix_stats(inst, j) for j in range(inst.n + 1)]
     cheapest = {eps: next((p for p in prefix_points if p.eps <= eps), None) for eps in eps_grid}
     lp_optimum: dict[Fraction, Fraction] = {}
-    if table_fits((OUTPUTS + 1) ** (inst.n * inst.k), budget):  # the LP's strategies
-        columns = detector_columns(ghz_problem(inst))
-        lp_optimum = {eps: eta_star_from_columns(columns, eps).optimum for eps in set(eps_grid)}
+    if table_fits((OUTPUTS + 1) ** (inst.n * inst.k), budget):  # the silent-allowed strategies
+        points = class_points(inst, budget)
+        lp_optimum = {eps: eta_star(points, eps).optimum for eps in set(eps_grid)}
 
     rows: list[TradeoffRow] = []
     for c in c_grid:

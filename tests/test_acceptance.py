@@ -54,7 +54,7 @@ from nonlocal_lab.rectangles import (
     residue_counts,
     scan_rectangles,
 )
-from nonlocal_lab.search import best_deterministic_error, tradeoff_table
+from nonlocal_lab.search import class_points, click_only_minimum, tradeoff_table
 
 F = Fraction
 
@@ -95,12 +95,8 @@ def test_criterion_1_ghz_equivalence():
 
 def test_criterion_2_mermin_figure():
     with Criterion(2, "exhaustive minimum classical error", 1.0):
-        assert best_deterministic_error(
-            ghz_problem(GhzInstance(n=3, k=2))
-        ).optimum == F(1, 4)
-        assert best_deterministic_error(
-            ghz_problem(GhzInstance(n=2, k=2))
-        ).optimum == 0
+        assert click_only_minimum(class_points(GhzInstance(n=3, k=2))).optimum == F(1, 4)
+        assert click_only_minimum(class_points(GhzInstance(n=2, k=2))).optimum == 0
 
 
 def test_criterion_3_detector_conversion_round_trip():

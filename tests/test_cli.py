@@ -80,15 +80,47 @@ def test_search_report(capsys):
     assert report["witnesses_recheck"] is True
 
 
-def test_search_walks_the_strategies_once(capsys, monkeypatch):
+def test_search_builds_the_points_once(capsys, monkeypatch):
     from nonlocal_lab import search
 
-    walk = search._lowest_mass_per_pattern
+    build = search.class_points
     calls = []
-    monkeypatch.setattr(search, "_lowest_mass_per_pattern", lambda p: calls.append(1) or walk(p))
+    monkeypatch.setattr(search, "class_points", lambda *a, **kw: calls.append(1) or build(*a, **kw))
     code, out, _ = run_cli(capsys, "search", "--n", "3", "--k", "2", "--eps-budget", "1/10")
     assert code == 0 and json.loads(out)["passed"] is True
-    assert len(calls) == 1  # both figures come from the one column walk
+    assert len(calls) == 1  # both figures come from the one point set
+
+
+def test_search_report_carries_the_compact_witness(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--k", "2", "--eps-budget", "1/10")
+    report = json.loads(out)
+    witness = report["eta_star_lp"]["witness"]
+    assert witness["averaged_over"] == "setting shifts s in Z_2k^n with sum(s) = 0 mod 2k"
+    assert 1 <= len(witness["components"]) <= 2
+    assert report["eta_star_lp"]["enumerated"] == 4  # multisets of 3 of the 2 table types
+    assert report["witnesses_recheck_by"] == "model_metrics"
+    # past the table limit, the witnesses are re-checked by their own counts
+    code, out, _ = run_cli(capsys, "search", "--n", "13", "--k", "2", "--eps-budget", "1/10")
+    report = json.loads(out)
+    assert code == 0 and report["witnesses_recheck_by"] == "strategy_counts"
+    assert report["eta_star_lp"]["optimum"] == {"num": "5", "den": "7168"}
+
+
+@pytest.mark.parametrize(
+    "argv,optimum",
+    [
+        # 39 s and 7.0 s through the strategy walk and its LP
+        (("--n", "7", "--k", "2"), {"num": "5", "den": "112"}),
+        (("--n", "4", "--k", "3"), {"num": "1", "den": "1"}),
+    ],
+    ids=["n7-k2", "n4-k3"],
+)
+def test_search_past_the_walk_takes_under_a_second(argv, optimum):
+    proc, elapsed = run_fresh("search", *argv, "--eps-budget", "1/10")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True and report["eta_star_lp"]["optimum"] == optimum
+    assert elapsed < 1.0
 
 
 def test_rect_scan_report(capsys):
@@ -435,13 +467,13 @@ def run_fresh(*argv):
 
 
 def test_search_past_the_budget_fails_fast():
-    # 2**18 click-only strategies would fit; the 3**18 silent-allowed ones
-    # do not, and the strategy walk does not start before the refusal
-    proc, elapsed = run_fresh("search", "--n", "9", "--k", "2")
+    # C(70, 9) multisets of the 62 table types at k=6, 9 factors each: the
+    # count is decided from n and k before any table is typed
+    proc, elapsed = run_fresh("search", "--n", "9", "--k", "6")
     assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
     assert proc.stderr == (
-        "BudgetExceeded: 387420489 strategies exceed the budget of 10000000; "
-        "the largest n that fits at k=2 is 7\n"
+        "BudgetExceeded: 585301757040 product-class factors exceed the budget of 10000000; "
+        "the largest n that fits at k=6 is 4\n"
     )
     assert elapsed < 2.0
 
@@ -451,14 +483,15 @@ def test_search_past_the_budget_fails_fast():
     [
         # counts past CPython's int-to-text digit limit print as powers
         (("search", "--n", "2", "--k", "5000"),
-         "3^10000 strategies exceed the budget of 10000000; no n fits at k=5000"),
-        # the strategies are counted from the shape, before any valid input is built
-        (("search", "--n", "20", "--k", "2"),
-         "12157665459056928801 strategies exceed the budget of 10000000; "
-         "the largest n that fits at k=2 is 7"),
-        (("search", "--n", "30", "--k", "2"),
-         "42391158275216203514294433201 strategies exceed the budget of 10000000; "
-         "the largest n that fits at k=2 is 7"),
+         "C(T+1,2)*2 (T~3^5000/10000 table types) product-class factors exceed the "
+         "budget of 10000000; no n fits at k=5000"),
+        # the product classes are counted from the shape, before any table is typed
+        (("search", "--n", "20", "--k", "5"),
+         "35220787001400 product-class factors exceed the budget of 10000000; "
+         "the largest n that fits at k=5 is 6"),
+        (("search", "--n", "30", "--k", "4"),
+         "6357453960 product-class factors exceed the budget of 10000000; "
+         "the largest n that fits at k=4 is 13"),
         # the orbit pass: C(n+1, 1) multisets of settings times n overlap factors
         (("quantum", "--n", "20000", "--k", "2"),
          "400020000 overlap factors exceed the budget of 10000000; "
@@ -489,6 +522,32 @@ def test_huge_requests_are_refused_in_one_line(argv, expected):
     assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
     assert proc.stderr == f"BudgetExceeded: {expected}\n"
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("quantum", "--n", "300000", "--k", "300000"),
+         "C(599999,299999)*300000 overlap factors exceed the budget of 10000000; "
+         "no n fits at k=300000"),
+        (("search", "--n", "300000", "--k", "300000"),
+         "C(T+299999,300000)*300000 (T~3^300000/600000 table types) product-class factors "
+         "exceed the budget of 10000000; no n fits at k=300000"),
+        (("search", "--n", "2", "--k", "5000"),
+         "C(T+1,2)*2 (T~3^5000/10000 table types) product-class factors exceed the "
+         "budget of 10000000; no n fits at k=5000"),
+        (("rect-scan", "--n", "300000", "--k", "20"),
+         "C(300000+2^20-2, 2^20-1) rectangle classes exceed the budget of 10000000; "
+         "no n fits at k=20"),
+    ],
+    ids=["quantum", "search", "search-k5000", "rect-scan"],
+)
+def test_binomial_counts_past_the_digit_limit_are_refused_unbuilt(argv, expected):
+    # building C(599999, 299999) alone takes 3.5 s, and the rect-scan count 9.5 s
+    proc, elapsed = run_fresh(*argv)
+    assert_one_line_exit_two(proc.returncode, proc.stdout, proc.stderr, "BudgetExceeded")
+    assert proc.stderr == f"BudgetExceeded: {expected}\n"
+    assert elapsed < 1.0
 
 
 def test_valid_input_refusals_name_the_largest_n_that_fits(tmp_path, capsys):

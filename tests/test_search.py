@@ -1,5 +1,6 @@
-"""Optimal classical figures: the exhaustive minimum-error oracle, the exact
-LP for the maximum all-click probability, and the trade-off table."""
+"""Optimal classical figures: eta*(eps) and the click-only minimum from
+rotation-class points, checked against the strategy-walk LP oracle
+(``walk_oracle``) and its own generic loops, and the trade-off table."""
 
 import dataclasses
 import itertools
@@ -33,13 +34,15 @@ from nonlocal_lab.protocol import MixedProtocol, cost, to_detector_model
 from nonlocal_lab import search
 from nonlocal_lab.rectangles import ScanResult
 from nonlocal_lab.search import (
-    best_deterministic_error,
-    detector_columns,
-    eta_star_lp,
+    class_points,
+    click_only_minimum,
+    eta_star,
     model_respects_rectangle_bound,
     tradeoff_table,
 )
+import walk_oracle
 from test_simplex import _fraction_simplex_reference
+from walk_oracle import best_deterministic_error, detector_columns, eta_star_lp
 
 F = Fraction
 
@@ -86,7 +89,7 @@ def generic_detector_columns(problem):
         if pattern not in kept or err < kept[pattern][0]:
             kept[pattern] = (err, rank, combo)
     columns = sorted(kept.items(), key=lambda item: item[1][1])
-    return search.DetectorColumns(
+    return walk_oracle.DetectorColumns(
         problem=problem,
         strategies=tuple(DeterministicLhv(tables=combo) for _, (_, _, combo) in columns),
         patterns=tuple(pattern for pattern, _ in columns),
@@ -206,7 +209,7 @@ def test_reach_pinned_at_a_tenth(n, k, columns_count, eta, click_only, enumerate
     assert mixed_lhv_metrics(single, problem).eps == click_only
     columns = detector_columns(problem)
     assert len(columns.patterns) == columns_count
-    report = search.eta_star_from_columns(columns, eps)
+    report = walk_oracle.eta_star_from_columns(columns, eps)
     assert report.optimum == eta
     met = mixed_lhv_metrics(report.witness, problem)
     assert met.eta_n == eta and met.eps <= eps
@@ -216,9 +219,9 @@ def test_mermin_figure_confirmed_by_oracle():
     problem = ghz_problem(GhzInstance(n=3, k=2))
     oracle, _, _ = generic_best_deterministic_error(problem)
     assert oracle == F(1, 4)
-    report = best_deterministic_error(problem)
+    report = click_only_minimum(class_points(GhzInstance(n=3, k=2)))
     assert report.optimum == F(1, 4)
-    assert report.enumerated == 64
+    assert report.enumerated == 4  # multisets of 3 of the 2 table types
     # the witness reaches the reported value when replayed
     replay = F(0)
     for x in problem.support:
@@ -242,7 +245,12 @@ def test_full_support_target_has_zero_error():
 
 
 def test_budget_guard():
-    problem = ghz_problem(GhzInstance(n=3, k=2))
+    # 4 product classes of 3 factors each; the oracle walks 3**6 strategies
+    inst = GhzInstance(n=3, k=2)
+    assert class_points(inst, budget=12).enumerated == 4
+    with pytest.raises(BudgetExceeded):
+        class_points(inst, budget=11)
+    problem = ghz_problem(inst)
     with pytest.raises(BudgetExceeded):
         best_deterministic_error(problem, budget=10)
     with pytest.raises(BudgetExceeded):
@@ -250,39 +258,37 @@ def test_budget_guard():
 
 
 def test_budget_errors_name_the_largest_party_count_that_fits():
-    problem = ghz_problem(GhzInstance(n=9, k=2))
-    for figure in (detector_columns, best_deterministic_error):
-        with pytest.raises(BudgetExceeded, match=r"^387420489 strategies exceed the budget "
-                           r"of 10000000; the largest n that fits at k=2 is 7$"):
-            figure(problem, budget=10**7)
-    # both figures walk the silent-allowed strategies, so exactly 3**12 fit
-    # at n=6, k=2 and one less refuses, though the 2**12 click-only ones
-    # would still fit
-    problem = ghz_problem(GhzInstance(n=6, k=2))
-    assert best_deterministic_error(problem, budget=3**12).optimum == F(3, 8)
-    for figure in (detector_columns, best_deterministic_error):
-        with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 5$"):
-            figure(problem, budget=3**12 - 1)
+    # C(T+n-1, n) product classes of n factors each, T the table types
+    with pytest.raises(BudgetExceeded, match=r"^11440660 product-class factors exceed the "
+                       r"budget of 10000000; the largest n that fits at k=4 is 13$"):
+        class_points(GhzInstance(n=14, k=4))
+    # exactly 7 * 6 factors fit at n=6, k=2 and one less refuses
+    assert class_points(GhzInstance(n=6, k=2), budget=42).enumerated == 7
+    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 5$"):
+        class_points(GhzInstance(n=6, k=2), budget=41)
+    # the 5 factors of n = 1 fit, but no instance has one party
     with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
-        best_deterministic_error(ghz_problem(GhzInstance(n=3, k=3)), budget=10)
-    with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
-        detector_columns(ghz_problem(GhzInstance(n=2, k=3)), budget=26)
-    # the 3**3 strategies of n = 1 fit, but no instance has one party
-    with pytest.raises(BudgetExceeded, match="no n fits at k=3$"):
-        detector_columns(ghz_problem(GhzInstance(n=2, k=3)), budget=3**6 - 1)
+        class_points(GhzInstance(n=3, k=3), budget=29)
 
 
-def test_library_figures_share_the_silent_allowed_budget():
-    # 2**16 click-only strategies fit the default budget, 3**16 do not
-    problem = ghz_problem(GhzInstance(n=8, k=2))
+def test_library_figures_share_the_class_budget():
+    # 3**16 silent-allowed strategies at n=8, k=2 exceed the default budget,
+    # which refuses the walk; both figures read the 9 product classes
+    inst = GhzInstance(n=8, k=2)
     with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 7$"):
-        best_deterministic_error(problem)
+        best_deterministic_error(ghz_problem(inst))
+    points = class_points(inst)
+    assert points.enumerated == 9
+    assert click_only_minimum(points).optimum == F(7, 16)
+    assert eta_star(points, F(1, 10)).optimum == F(5, 224)
+    with pytest.raises(BudgetExceeded, match="the largest n that fits at k=2 is 7$"):
+        class_points(inst, budget=7 * 8)
 
 
 def test_random_mixtures_never_beat_the_vertex_minimum():
     rng = random.Random(37)
     problem = ghz_problem(GhzInstance(n=3, k=2))
-    vertex = best_deterministic_error(problem).optimum
+    vertex = click_only_minimum(class_points(GhzInstance(n=3, k=2))).optimum
     tables = list(itertools.product(range(2), repeat=2))
     all_strategies = [
         tuple(combo) for combo in itertools.product(tables, repeat=3)
@@ -297,19 +303,21 @@ def test_random_mixtures_never_beat_the_vertex_minimum():
         assert met.eps >= vertex
 
 
+def live_eta_star(n, k, eps):
+    return eta_star(class_points(GhzInstance(n=n, k=k)), eps)
+
+
 def test_lp_trivial_budget_allows_always_click():
-    problem = ghz_problem(GhzInstance(n=2, k=2))
-    assert eta_star_lp(problem, F(1)).optimum == 1
+    assert live_eta_star(2, 2, F(1)).optimum == 1
 
 
 def test_lp_two_party_perfect_strategy():
-    problem = ghz_problem(GhzInstance(n=2, k=2))
-    assert eta_star_lp(problem, F(0)).optimum == 1
+    assert live_eta_star(2, 2, F(0)).optimum == 1
 
 
 def test_lp_three_party_zero_error_value():
     problem = ghz_problem(GhzInstance(n=3, k=2))
-    report = eta_star_lp(problem, F(0))
+    report = live_eta_star(3, 2, F(0))
     # a one-bit zero-error protocol converts into eta^n = 1/2, so the LP
     # optimum can be no smaller
     tree = broadcast_prefix_strategy(GhzInstance(n=3, k=2), 1)
@@ -319,35 +327,37 @@ def test_lp_three_party_zero_error_value():
     assert met.eps == 0 and met.eta_n == F(1, 2)
     assert report.optimum >= F(1, 2)
     assert report.optimum == F(1, 2)  # frozen from the exact LP run
-    # witness re-check through the model metrics
-    wit = mixed_lhv_metrics(report.witness, problem)
+    # witness re-check through the model metrics, averaged over the shifts
+    wit = mixed_lhv_metrics(search.shift_average(report.witness, 2), problem)
     assert wit.eta_n == report.optimum and wit.eps == 0
 
 
 def test_lp_monotone_in_error_budget():
-    problem = ghz_problem(GhzInstance(n=3, k=2))
     budgets = [F(0), F(1, 10), F(1, 4), F(1, 2), F(1)]
-    values = [eta_star_lp(problem, b).optimum for b in budgets]
+    values = [live_eta_star(3, 2, b).optimum for b in budgets]
     for a, b in zip(values, values[1:]):
         assert a <= b
     assert values[-1] == 1
 
 
 def test_lp_negative_budget_infeasible():
-    problem = ghz_problem(GhzInstance(n=2, k=2))
     with pytest.raises(Infeasible):
-        eta_star_lp(problem, F(-1, 2))
+        live_eta_star(2, 2, F(-1, 2))
 
 
 def test_lp_witness_click_probability_is_input_independent():
-    problem = ghz_problem(GhzInstance(n=3, k=2))
-    report = eta_star_lp(problem, F(1, 10))
     from nonlocal_lab.model import all_click, evaluate_mixed_lhv
 
-    d = evaluate_mixed_lhv(report.witness, problem)
-    for x in problem.support:
-        clicks = sum(p for a, p in d.probs[x].items() if all_click(a))
-        assert clicks == report.optimum
+    for n, k in ((3, 2), (4, 2), (3, 4)):
+        problem = ghz_problem(GhzInstance(n=n, k=k))
+        report = live_eta_star(n, k, F(1, 10))
+        assert len(report.witness.components) <= 2
+        expanded = search.shift_average(report.witness, k)
+        assert len(expanded.components) == len(report.witness.components) * k ** (n - 1)
+        d = evaluate_mixed_lhv(expanded, problem)
+        for x in problem.support:
+            clicks = sum(p for a, p in d.probs[x].items() if all_click(a))
+            assert clicks == report.optimum
 
 
 def full_column_lp_oracle(problem):
@@ -402,18 +412,18 @@ def test_lp_four_parties_pinned(monkeypatch):
     problem = ghz_problem(GhzInstance(n=4, k=2))
     built = []
 
-    class CountingLhv(search.DeterministicLhv):
+    class CountingLhv(walk_oracle.DeterministicLhv):
         def __post_init__(self):
             built.append(1)
             super().__post_init__()
 
     # the enumeration is streamed: lookup tables only for the kept columns
-    monkeypatch.setattr(search, "DeterministicLhv", CountingLhv)
+    monkeypatch.setattr(walk_oracle, "DeterministicLhv", CountingLhv)
     columns = detector_columns(problem)
     assert columns.enumerated == 6561
     assert len(columns.strategies) == len(built) == 42
     for eps, expected in ((F(0), F(1, 4)), (F(1, 10), F(5, 14))):
-        report = search.eta_star_from_columns(columns, eps)
+        report = walk_oracle.eta_star_from_columns(columns, eps)
         assert report.optimum == expected
         met = mixed_lhv_metrics(report.witness, problem)
         assert met.eta_n == expected and met.eps <= eps
@@ -430,7 +440,7 @@ def test_lp_four_parties_pinned(monkeypatch):
 )
 def test_a_perturbed_dual_is_refused(monkeypatch, perturb, message):
     columns = detector_columns(ghz_problem(GhzInstance(n=3, k=2)))
-    solve = search.solve_lp_max
+    solve = walk_oracle.solve_lp_max
 
     def perturbed(objective, eq_rows, ub_rows):
         result = solve(objective, eq_rows, ub_rows)
@@ -445,10 +455,10 @@ def test_a_perturbed_dual_is_refused(monkeypatch, perturb, message):
             y = y[:-1]
         return dataclasses.replace(result, dual=tuple(y))
 
-    search.eta_star_from_columns(columns, F(1, 10))
-    monkeypatch.setattr(search, "solve_lp_max", perturbed)
+    walk_oracle.eta_star_from_columns(columns, F(1, 10))
+    monkeypatch.setattr(walk_oracle, "solve_lp_max", perturbed)
     with pytest.raises(CrossCheckMismatch, match=message):
-        search.eta_star_from_columns(columns, F(1, 10))
+        walk_oracle.eta_star_from_columns(columns, F(1, 10))
 
 
 def test_tradeoff_table_consistency_small():
@@ -503,7 +513,7 @@ def nested_loop_achievable(inst, c_grid, eps_grid):
                     if best is None or p.eta_n_converted > best:
                         best, source = p.eta_n_converted, f"broadcast_prefix[{p.prefix}]"
             if columns is not None:
-                q = search.eta_star_from_columns(columns, eps).optimum
+                q = walk_oracle.eta_star_from_columns(columns, eps).optimum
                 if best is None or q > best:
                     best, source = q, "eta_star_lp"
             out.append((c, eps, best, source))
@@ -542,3 +552,161 @@ def test_measured_models_respect_every_scanned_cap():
         assert model_respects_rectangle_bound(inst, scans, c, F(1), met.eps)
         # converted detector model: no bits, 2^-c clicks
         assert model_respects_rectangle_bound(inst, scans, 0, met.eta_n, met.eps)
+
+
+# ---------------------------------------------------------------- rotation classes
+
+
+def poly(table, k):
+    """Reference: the table's polynomial, sum of z^(x + k*t(x)) over its
+    clicks, as a count vector over Z_2k."""
+    v = [0] * (2 * k)
+    for x, a in enumerate(table):
+        if a is not None:
+            v[(x + k * a) % (2 * k)] += 1
+    return tuple(v)
+
+
+def test_rotating_a_table_multiplies_its_polynomial_by_z_to_the_shift():
+    for k in (2, 3, 4):
+        m = 2 * k
+        for t in itertools.product((0, 1, None), repeat=k):
+            v = poly(t, k)
+            for s in range(-m, m):
+                assert poly(search.rotate(t, s, k), k) == tuple(v[(j - s) % m] for j in range(m))
+
+
+def test_every_table_is_a_rotation_of_exactly_one_type():
+    assert [search.type_count(k) for k in range(2, 9)] == [2, 5, 10, 25, 62, 157, 410]
+    for k in range(2, 7):
+        m = 2 * k
+        types = search.table_types(k)
+        assert len(types) == search.type_count(k)
+        orbits = [{tuple(poly(t, k)[(j - s) % m] for j in range(m)) for s in range(m)}
+                  for t in types]
+        for t in itertools.product((0, 1, None), repeat=k):
+            if any(v is not None for v in t):
+                assert sum(poly(t, k) in orbit for orbit in orbits) == 1
+
+
+def test_strategy_counts_are_the_problem_counts():
+    rng = random.Random(5)
+    for n, k in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 4)):
+        problem = ghz_problem(GhzInstance(n=n, k=k))
+        for _ in range(20):
+            lhv = DeterministicLhv(
+                tables=tuple(tuple(rng.choice((0, 1, None)) for _ in range(k)) for _ in range(n))
+            )
+            clicking = [x for x in problem.support if lhv.clicks_on(x)]
+            wrong = sum(problem.is_forbidden(x, lhv.outputs(x)) for x in clicking)
+            assert search.strategy_counts(lhv) == (len(clicking), wrong)
+
+
+EPS_SWEEP = (F(0), F(1, 10), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1))
+
+
+@pytest.mark.parametrize(
+    "n,k,eps_grid",
+    [
+        *(pytest.param(n, k, EPS_SWEEP, id=f"{n}-{k}")
+          for n, k in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4))),
+        # the oracle's LP takes up to 1 s per budget here; the values at 1/10
+        # are pinned by test_reach_pinned_at_a_tenth
+        pytest.param(6, 2, (F(0),), id="6-2"),
+        pytest.param(3, 4, (F(1, 4),), id="3-4"),
+    ],
+)
+def test_points_match_the_walk_oracle(n, k, eps_grid):
+    inst = GhzInstance(n=n, k=k)
+    points = class_points(inst)
+    det = click_only_minimum(points)
+    columns = detector_columns(ghz_problem(inst))
+    assert det.optimum == walk_oracle.best_deterministic_error_from_columns(columns).optimum
+    for eps in eps_grid:
+        report = eta_star(points, eps)
+        assert report.optimum == walk_oracle.eta_star_from_columns(columns, eps).optimum, eps
+        assert len(report.witness.components) <= 2
+        assert search.recheck_witnesses(inst, eps, report, det) == ("model_metrics", True)
+
+
+@pytest.mark.parametrize(
+    "n,k,click_only,recorded",
+    [
+        # the walk's LP at (7, 2) took 39 s and at (4, 3) 7 s
+        (6, 2, F(3, 8), {F(1, 10): F(5, 56)}),
+        (3, 4, F(1, 4), {F(0): F(7, 16), F(1, 10): F(7, 12)}),
+        (7, 2, F(7, 16), {F(0): F(1, 32), F(1, 10): F(5, 112), F(1, 4): F(1, 8)}),
+        (4, 3, F(0), {F(0): F(1), F(1, 10): F(1)}),
+        (4, 4, F(5, 16), {F(0): F(5, 32), F(1, 10): F(1, 3), F(1, 4): F(13, 20)}),
+        (6, 4, F(27, 64), {F(0): F(5, 256), F(1, 10): F(365, 7168)}),
+    ],
+)
+def test_recorded_values_past_the_walk(n, k, click_only, recorded):
+    points = class_points(GhzInstance(n=n, k=k))
+    assert click_only_minimum(points).optimum == click_only
+    assert {eps: eta_star(points, eps).optimum for eps in recorded} == recorded
+
+
+def test_k2_closed_forms():
+    for n in (*range(3, 65), 256):
+        points = class_points(GhzInstance(n=n, k=2))
+        assert eta_star(points, F(0)).optimum == F(4, 2**n), n
+        tenth = F(5, 8) if n == 3 else F(5, 7 * 2 ** (n - 3))
+        assert eta_star(points, F(1, 10)).optimum == tenth, n
+        assert eta_star(points, F(1, 4)).optimum == min(F(1), F(16, 2**n)), n
+        # Mermin's classical bound on the error
+        assert click_only_minimum(points).optimum == F(1, 2) - F(1, 2 ** ((n + 1) // 2)), n
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (5, 3), (4, 5)])
+def test_odd_k_is_classical(n, k):
+    # a_i = x_i mod 2 has output parity sum(x) mod 2, which is the promise
+    # bit when k is odd
+    total = k ** (n - 1)
+    parity = DeterministicLhv(tables=(tuple(x % 2 for x in range(k)),) * n)
+    assert search.strategy_counts(parity) == (total, 0)
+    points = class_points(GhzInstance(n=n, k=k))
+    det = click_only_minimum(points)
+    assert det.optimum == 0 and search.strategy_counts(det.witness) == (total, 0)
+    for eps in (F(0), F(1, 10), F(1, 2)):
+        report = eta_star(points, eps)
+        assert report.optimum == 1
+        assert all(search.strategy_counts(lhv) == (total, 0) for lhv, _ in report.witness.components)
+
+
+def test_recheck_by_strategy_counts_past_the_table_limit():
+    # 8 * 7 product-class factors fit a budget of 100, the 2 * 64 expanded
+    # components do not
+    inst = GhzInstance(n=7, k=2)
+    points = class_points(inst, budget=100)
+    det = click_only_minimum(points)
+    report = eta_star(points, F(1, 10))
+    assert search.recheck_witnesses(inst, F(1, 10), report, det, 100) == ("strategy_counts", True)
+    assert search.recheck_witnesses(inst, F(1, 10), report, det) == ("model_metrics", True)
+    # a witness that does not reach its optimum fails either route
+    wrong = dataclasses.replace(report, optimum=report.optimum + F(1, 1000))
+    for budget in (100, 10**7):
+        assert not search.recheck_witnesses(inst, F(1, 10), wrong, det, budget)[1]
+    # nor does a click-only witness above its figure
+    low = dataclasses.replace(det, optimum=det.optimum - F(1, 64))
+    for budget in (100, 10**7):
+        assert not search.recheck_witnesses(inst, F(1, 10), report, low, budget)[1]
+
+
+@pytest.mark.parametrize(
+    "perturb,message",
+    [("scale", "dual objective differs"), ("short", "1 entries for 2 rows")],
+)
+def test_a_perturbed_dual_of_the_two_row_lp_is_refused(monkeypatch, perturb, message):
+    points = class_points(GhzInstance(n=3, k=2))
+    solve = search.solve_lp_max
+
+    def perturbed(objective, eq_rows, ub_rows):
+        result = solve(objective, eq_rows, ub_rows)
+        y = list(result.dual)
+        y = [y[0] * F(3, 2), *y[1:]] if perturb == "scale" else y[:-1]
+        return dataclasses.replace(result, dual=tuple(y))
+
+    monkeypatch.setattr(search, "solve_lp_max", perturbed)
+    with pytest.raises(CrossCheckMismatch, match=message):
+        eta_star(points, F(1, 10))

@@ -11,8 +11,8 @@ import pytest
 
 from nonlocal_lab.errors import Infeasible
 from nonlocal_lab.ghz import GhzInstance, ghz_problem
-from nonlocal_lab.search import detector_columns, eta_star_program
 from nonlocal_lab.simplex import solve_lp_max
+from walk_oracle import detector_columns, eta_star_program
 
 F = Fraction
 ZERO = F(0)
